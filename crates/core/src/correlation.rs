@@ -15,7 +15,7 @@
 //! cover restriction only shrinks it further), so when the lattice driver
 //! hands down the parent's already-extracted [`InducedSubgraph`], the
 //! child's subgraph is *projected* out of the parent's compact CSR
-//! ([`InducedSubgraph::project`]) instead of re-merged against the global
+//! ([`InducedSubgraph::project`]) instead of re-extracted from the global
 //! graph — and the coverage subgraph is reused verbatim by the top-k
 //! search of the same attribute set. Both constructions are byte-identical
 //! to a fresh global extraction (tested), so every downstream guarantee
@@ -27,7 +27,7 @@ use std::sync::Arc;
 use scpm_graph::attributed::AttributedGraph;
 use scpm_graph::bitadj::VertexBitset;
 use scpm_graph::csr::{intersect_into, VertexId};
-use scpm_graph::induced::InducedSubgraph;
+use scpm_graph::induced::{InducedSubgraph, RankMap};
 use scpm_quasiclique::{
     EngineScratch, Miner, MiningMode, MiningOutcome, PruneFlags, QcConfig, QuasiClique,
     Representation, SearchOrder, SearchStats,
@@ -96,6 +96,8 @@ pub struct CorrelationEngine<'g> {
     scratch: RefCell<EngineScratch>,
     /// Reusable parent-local keep set for subgraph projection.
     keep: RefCell<VertexBitset>,
+    /// Reusable vertex → rank map shared by extraction and projection.
+    ranks: RefCell<RankMap>,
 }
 
 impl<'g> CorrelationEngine<'g> {
@@ -117,6 +119,7 @@ impl<'g> CorrelationEngine<'g> {
             vertex_pruning,
             scratch: RefCell::new(EngineScratch::new()),
             keep: RefCell::new(VertexBitset::empty(0)),
+            ranks: RefCell::new(RankMap::default()),
         }
     }
 
@@ -216,10 +219,16 @@ impl<'g> CorrelationEngine<'g> {
                 "lattice child mining set must be contained in the parent's"
             );
             if matched == mining.len() {
-                return parent.project(&keep);
+                return parent.project_with(&keep, &mut self.ranks.borrow_mut());
             }
         }
-        InducedSubgraph::extract(self.graph.graph(), mining)
+        self.extract(mining)
+    }
+
+    /// Extracts `G[set]` from the global graph, reusing the engine's
+    /// rank scratch.
+    fn extract(&self, set: &[VertexId]) -> InducedSubgraph {
+        InducedSubgraph::extract_with(self.graph.graph(), set, &mut self.ranks.borrow_mut())
     }
 
     /// Mines the top-`k` patterns of `G(S)` (size primary, density
@@ -238,7 +247,7 @@ impl<'g> CorrelationEngine<'g> {
         if mining.len() < self.cfg.min_size {
             return (Vec::new(), SearchStats::default());
         }
-        let sub = InducedSubgraph::extract(self.graph.graph(), &mining);
+        let sub = self.extract(&mining);
         self.top_k_on(&sub, k)
     }
 
@@ -260,7 +269,7 @@ impl<'g> CorrelationEngine<'g> {
         if vertices.len() < self.cfg.min_size {
             return (Vec::new(), SearchStats::default());
         }
-        let sub = InducedSubgraph::extract(self.graph.graph(), vertices);
+        let sub = self.extract(vertices);
         let outcome = self.run_miner(&sub.graph, MiningMode::EnumerateMaximal);
         relabel(&sub, outcome)
     }

@@ -4,12 +4,13 @@
 //!
 //! [`mine_mapped`] reproduces [`Scpm::run`](crate::Scpm::run) bit-for-bit
 //! (same reports, same patterns, same counters — only `elapsed` is its own
-//! wall clock) while reading the graph through a [`MappedSnapshot`]
-//! instead of a heap [`AttributedGraph`]. The trick is that every subgraph
-//! the search can ever extract under a root attribute `a` lies inside
-//! `V(a)`, so a **working graph** containing all edges incident to
-//! `W = ⋃ V(a)` over the segment's roots answers every adjacency query of
-//! the segment's entire subtree exactly as the full graph would.
+//! wall clock) while reading the graph through a [`MappedSnapshot`] instead
+//! of a heap [`AttributedGraph`](scpm_graph::AttributedGraph). The trick is
+//! that every subgraph the search can ever extract under a root attribute
+//! `a` lies inside `V(a)`, so a **working graph** containing all edges
+//! incident to `W = ⋃ V(a)` over the segment's roots answers every
+//! adjacency query of the segment's entire subtree exactly as the full
+//! graph would.
 //!
 //! The driver runs in three layers:
 //!

@@ -4,11 +4,12 @@
 //!
 //! The in-memory path (`ingest::ingest_files` + `save_snapshot`) buffers
 //! every edge and vertex-attribute pair, sorts them, and encodes the
-//! snapshot from a built [`AttributedGraph`]. That is the right call for
-//! datasets that fit; it is the wrong call for the paper-scale networks the
-//! out-of-core CI job exercises. This module reproduces the normalization
-//! **byte-for-byte** (the differential tests and the `out-of-core` CI job
-//! enforce it) with a classic two-pass external-sort plan:
+//! snapshot from a built [`AttributedGraph`](scpm_graph::AttributedGraph).
+//! That is the right call for datasets that fit; it is the wrong call for
+//! the paper-scale networks the out-of-core CI job exercises. This module
+//! reproduces the normalization **byte-for-byte** (the differential tests
+//! and the `out-of-core` CI job enforce it) with a classic two-pass
+//! external-sort plan:
 //!
 //! 1. **Pass 1 — survey.** Stream-parse every source file through
 //!    [`StreamingSource`], discarding records: this builds the vertex and
@@ -17,7 +18,7 @@
 //!    canonicalization order, and vertex count `n` all fall out here.
 //! 2. **Pass 2 — spill.** Re-parse the same files (interning is
 //!    first-appearance-deterministic, so ids reproduce exactly), relabel
-//!    each record immediately, and push it into a [`RunSpiller`]: a
+//!    each record immediately, and push it into a `RunSpiller`: a
 //!    fixed-capacity buffer that sorts, dedups and spills to a temporary
 //!    run file every time it fills. Each undirected edge is pushed as
 //!    *both* directed copies, so the merged `(src, dst)` stream is exactly
@@ -27,11 +28,10 @@
 //!    intermediate merge passes when a tiny budget produces many runs)
 //!    streams the section payloads into temp files while counting degrees
 //!    and duplicates.
-//! 4. **Assemble.** With all counts known, compute the v3
-//!    [`layout`](scpm_graph::snapshot::layout), stream the payloads into
-//!    the final file (hashing each section with
-//!    [`Fnv1a64`](scpm_graph::snapshot::Fnv1a64) on the way through), patch
-//!    the directory and header checksums, fsync, and rename into place —
+//! 4. **Assemble.** With all counts known, compute the v3 [`layout`],
+//!    stream the payloads into the final file (hashing each section with
+//!    [`Fnv1a64`] on the way through), patch the directory and header
+//!    checksums, fsync, and rename into place —
 //!    the same atomicity contract as `write_snapshot_atomic`.
 //!
 //! The memory budget bounds the *record buffers* — the `O(m + p)` part

@@ -836,6 +836,7 @@ impl VertexBitset {
 /// Ascending iterator over the set bits of a [`VertexBitset`], walking
 /// summary words first so empty 8-word blocks and empty words inside a
 /// block are never touched.
+#[derive(Clone)]
 pub struct SetBits<'a> {
     words: &'a [u64],
     summary: &'a [u64],

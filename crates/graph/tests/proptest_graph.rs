@@ -1,14 +1,39 @@
 //! Property-based tests for the graph substrate.
 
+use std::collections::BTreeSet;
+
 use proptest::prelude::*;
 use scpm_graph::attributed::AttributedGraphBuilder;
 use scpm_graph::builder::GraphBuilder;
 use scpm_graph::components::Components;
 use scpm_graph::csr::{intersect_count, intersect_into, VertexId};
-use scpm_graph::induced::InducedSubgraph;
+use scpm_graph::induced::{InducedSubgraph, RankMap};
 use scpm_graph::kcore::CoreDecomposition;
 use scpm_graph::snapshot;
 use scpm_graph::traversal::{bfs_distances, UNREACHABLE};
+
+/// `G[set]` by brute force over the raw edge list (duplicates and
+/// self-loops dropped): every edge with both endpoints in `set`, relabeled
+/// by position in `set`, as sorted adjacency rows.
+fn brute_force_induced(edges: &[(u32, u32)], set: &[VertexId]) -> Vec<Vec<VertexId>> {
+    let local = |v: VertexId| set.binary_search(&v).ok().map(|i| i as VertexId);
+    let distinct: BTreeSet<(u32, u32)> = edges
+        .iter()
+        .filter(|(u, v)| u != v)
+        .map(|&(u, v)| (u.min(v), u.max(v)))
+        .collect();
+    let mut rows = vec![Vec::new(); set.len()];
+    for (u, v) in distinct {
+        if let (Some(lu), Some(lv)) = (local(u), local(v)) {
+            rows[lu as usize].push(lv);
+            rows[lv as usize].push(lu);
+        }
+    }
+    for row in &mut rows {
+        row.sort_unstable();
+    }
+    rows
+}
 
 /// Strategy: a random edge list over `n` vertices.
 fn edges_strategy(max_n: usize) -> impl Strategy<Value = (usize, Vec<(u32, u32)>)> {
@@ -68,6 +93,41 @@ proptest! {
             }
         }
         prop_assert_eq!(sub.graph.num_edges(), expect);
+    }
+
+    #[test]
+    fn extract_equals_brute_force_edge_filter(
+        (n, edges) in edges_strategy(30),
+        masks in proptest::collection::vec(proptest::collection::vec(any::<bool>(), 30), 1..4),
+        single in 0u32..30,
+    ) {
+        let mut b = GraphBuilder::new(n);
+        for &(u, v) in &edges {
+            if u != v { b.add_edge(u, v); }
+        }
+        let g = b.build();
+        let mut sets: Vec<Vec<VertexId>> = masks
+            .iter()
+            .map(|mask| (0..n as u32).filter(|&v| mask[v as usize]).collect())
+            .collect();
+        sets.push(Vec::new());
+        sets.push(vec![single % n as u32]);
+        sets.push((0..n as u32).collect());
+        // One rank map across every set: each call must leave it clean.
+        let mut ranks = RankMap::default();
+        for set in &sets {
+            let expect = brute_force_induced(&edges, set);
+            for sub in [
+                InducedSubgraph::extract(&g, set),
+                InducedSubgraph::extract_with(&g, set, &mut ranks),
+            ] {
+                prop_assert_eq!(&sub.original, set);
+                prop_assert_eq!(sub.num_vertices(), set.len());
+                for (l, row) in expect.iter().enumerate() {
+                    prop_assert_eq!(sub.graph.neighbors(l as VertexId), &row[..]);
+                }
+            }
+        }
     }
 
     #[test]

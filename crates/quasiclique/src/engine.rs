@@ -47,7 +47,7 @@ use scpm_graph::bitadj::{
     KernelBackend, VertexBitset,
 };
 use scpm_graph::csr::{CsrGraph, VertexId};
-use scpm_graph::induced::InducedSubgraph;
+use scpm_graph::induced::{InducedSubgraph, RankMap};
 
 /// Largest reduced-subgraph vertex count the engine will pack into a
 /// [`BitAdjacency`] matrix (the matrix is `n²` bits — 8 MiB at this cap).
@@ -287,6 +287,9 @@ pub struct EngineScratch {
     /// Per-vertex counters for `single_extendable`, zeroed via `touched`.
     counts: Vec<u32>,
     touched: Vec<VertexId>,
+    /// Rank scratch for re-extracting the reduced survivors (kept
+    /// all-sentinel between runs, so `reset` leaves it alone).
+    ranks: RankMap,
 }
 
 impl EngineScratch {
@@ -407,7 +410,7 @@ impl<'g> Miner<'g> {
                 stats,
             };
         }
-        let sub = InducedSubgraph::extract(self.input, &survivors);
+        let sub = InducedSubgraph::extract_with(self.input, &survivors, &mut scratch.ranks);
         let n = sub.graph.num_vertices();
         scratch.reset(n);
         // Pack the reduced subgraph's adjacency once for the whole search;
