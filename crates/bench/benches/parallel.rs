@@ -1,6 +1,7 @@
-//! Parallel-driver benchmarks: work-stealing scheduler vs the branch-level
-//! baseline on the skewed synthetic DBLP workload (the paper's Figure 10
-//! speedup story), across thread counts and split depths.
+//! Parallel-driver benchmarks: the work-stealing scheduler on the skewed
+//! synthetic DBLP workload (the paper's Figure 10 speedup story), across
+//! thread counts and split depths. `split0` schedules one task per
+//! level-1 branch, the branch-level shape.
 //!
 //! The workload is deliberately *skewed*: the Zipf attribute model gives
 //! the synthetic DBLP graph a few hub terms whose level-1 branches dwarf
@@ -8,7 +9,7 @@
 //! subtree stealing keeps scaling.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use scpm_core::{run_parallel_branch_level, run_parallel_with, ParallelConfig, ScpmParams};
+use scpm_core::{run_parallel_with, ParallelConfig, ScpmParams};
 use scpm_datasets::dblp_like;
 
 fn params() -> ScpmParams {
@@ -35,18 +36,5 @@ fn bench_work_stealing(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_branch_level_baseline(c: &mut Criterion) {
-    let dataset = dblp_like(0.02, 21);
-    let g = &dataset.graph;
-    let mut group = c.benchmark_group("parallel_branch_level");
-    group.sample_size(10);
-    for threads in [1usize, 2, 4, 8] {
-        group.bench_with_input(BenchmarkId::new("threads", threads), &threads, |b, &t| {
-            b.iter(|| run_parallel_branch_level(g, params(), t))
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_work_stealing, bench_branch_level_baseline);
+criterion_group!(benches, bench_work_stealing);
 criterion_main!(benches);

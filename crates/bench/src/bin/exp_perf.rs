@@ -61,7 +61,6 @@ use scpm_datasets::{
     citeseer_like, dblp_like, dense_clique_like, lastfm_like, skewed_attr_like, sparse_star_like,
     SyntheticDataset,
 };
-use scpm_graph::bitadj::{detect_kernel_backend, simd_compiled, KernelBackend};
 use scpm_graph::{AttributedGraph, DeltaOp, GraphDelta};
 use scpm_quasiclique::Representation;
 
@@ -183,9 +182,6 @@ struct WorkloadReport {
     slice: PathResult,
     bitset: PathResult,
     identical: bool,
-    /// Divergence message from the SIMD cross-check pass, if it ran and
-    /// failed (`None` = passed or not compiled/available).
-    simd_divergence: Option<String>,
     kernel_ops_tolerance: f64,
     min_kernel_ops_ratio: f64,
 }
@@ -215,33 +211,6 @@ fn run_workload(scenario: &Scenario, scale: f64, timing: bool) -> WorkloadReport
     let slice = run(Representation::Slice);
     let bitset = run(Representation::Bitset);
     let identical = fingerprint(&slice.result) == fingerprint(&bitset.result);
-    // When the `simd` feature is compiled in and a non-scalar backend is
-    // actually available on this machine, a third pass runs the same
-    // workload through `Representation::Simd` and must match the scalar
-    // bitset pass on outcomes AND on every counter (the word-count model
-    // is backend-independent). The JSON stays byte-identical across
-    // feature configurations: the cross-check only gates the exit code.
-    let simd_divergence = if simd_compiled() && detect_kernel_backend() != KernelBackend::Scalar {
-        let simd = run(Representation::Simd);
-        if fingerprint(&simd.result) != fingerprint(&bitset.result) {
-            Some(format!("{}: simd/bitset outcomes diverge", scenario.name))
-        } else {
-            let strip = |s: &scpm_core::ScpmStats| {
-                let mut s = *s;
-                s.elapsed = std::time::Duration::ZERO;
-                s
-            };
-            let (a, b) = (strip(&simd.result.stats), strip(&bitset.result.stats));
-            (a != b).then(|| {
-                format!(
-                    "{}: simd/bitset counters diverge: {a:?} != {b:?}",
-                    scenario.name
-                )
-            })
-        }
-    } else {
-        None
-    };
     WorkloadReport {
         name: scenario.name,
         scale,
@@ -252,7 +221,6 @@ fn run_workload(scenario: &Scenario, scale: f64, timing: bool) -> WorkloadReport
         slice,
         bitset,
         identical,
-        simd_divergence,
         kernel_ops_tolerance: scenario.kernel_ops_tolerance,
         min_kernel_ops_ratio: scenario.min_kernel_ops_ratio,
     }
@@ -597,9 +565,6 @@ fn check_workload(w: &WorkloadReport, base: &WorkloadBaseline) -> Vec<String> {
             w.name, combined, base_combined, base.kernel_ops_tolerance, combined_limit
         ));
     }
-    if let Some(msg) = &w.simd_divergence {
-        errs.push(msg.clone());
-    }
     let r = report_ratio(w);
     if r < base.min_kernel_ops_ratio {
         errs.push(format!(
@@ -682,11 +647,6 @@ fn main() -> ExitCode {
         }
     });
 
-    eprintln!(
-        "# kernel backend: simd_compiled={} detected={}",
-        simd_compiled(),
-        detect_kernel_backend().name()
-    );
     let matrix = scenarios(dblp_scale, lastfm_scale, scenario_scale);
     let baseline = match &check_path {
         Some(path) => match std::fs::read_to_string(path).map_err(|e| e.to_string()) {
@@ -769,10 +729,6 @@ fn main() -> ExitCode {
         );
         if !w.identical {
             eprintln!("# ERROR: {} slice/bitset outcomes diverge", w.name);
-            ok = false;
-        }
-        if let Some(msg) = &w.simd_divergence {
-            eprintln!("# ERROR: {msg}");
             ok = false;
         }
     }

@@ -7,11 +7,11 @@
 //!
 //! Two complementary views are reported:
 //!
-//! 1. **Measured wall-clock** of the branch-level baseline
-//!    (`run_parallel_branch_level`) and the work-stealing scheduler
+//! 1. **Measured wall-clock** of the work-stealing scheduler
 //!    (`run_parallel_with`) at 1, 2, 4, … `max_threads` threads. Only
 //!    meaningful on a multi-core machine — a 1-core container reports flat
-//!    times for every configuration.
+//!    times for every configuration. The retired branch-level driver's
+//!    measured rows are recorded in `docs/PARALLELISM.md`.
 //! 2. **Modeled makespan** from the scheduler's exact work decomposition
 //!    ([`run_parallel_traced`]): each task's quasi-clique-search node count
 //!    is a hardware-independent cost proxy, and greedy longest-task-first
@@ -27,8 +27,7 @@
 
 use scpm_bench::{arg_f64, arg_usize, row, timed};
 use scpm_core::{
-    run_parallel_branch_level, run_parallel_traced, run_parallel_with, ParallelConfig, Scpm,
-    ScpmParams, SubtreeTrace,
+    run_parallel_traced, run_parallel_with, ParallelConfig, Scpm, ScpmParams, SubtreeTrace,
 };
 use scpm_datasets::dblp_like;
 
@@ -104,16 +103,6 @@ fn main() {
         format!("{serial_secs:.3}s"),
         "1.00"
     );
-    for &t in &threads {
-        let (_, secs) = timed(|| run_parallel_branch_level(g, params(), t));
-        row!(
-            "measured",
-            "branch_level",
-            t,
-            format!("{secs:.3}s"),
-            format!("{:.2}", serial_secs / secs)
-        );
-    }
     for &t in &threads {
         let config = ParallelConfig::new(t);
         let (_, secs) = timed(|| run_parallel_with(g, params(), &config));

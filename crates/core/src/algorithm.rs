@@ -255,13 +255,7 @@ impl<'g> Scpm<'g> {
         let outcome = engine.epsilon_projected(tids.as_slice(), parent_cover, parent_sub);
         let sub_built = outcome.sub.is_some();
         result.stats.attribute_sets_examined += 1;
-        result.stats.qc_nodes_coverage += outcome.stats.nodes_visited;
-        result.stats.qc_edge_tests += outcome.stats.edge_tests;
-        result.stats.qc_kernel_ops += outcome.stats.kernel_ops;
-        result.stats.qc_fused_ops += outcome.stats.fused_ops;
-        result.stats.qc_blocks_skipped += outcome.stats.blocks_skipped;
-        result.stats.qc_probes_elided += outcome.stats.probes_elided;
-        result.stats.qc_batch_ops += outcome.stats.batch_ops;
+        result.stats.add_coverage(&outcome.stats);
         let epsilon = outcome.epsilon;
         let delta_lb = self.model.normalize(epsilon, support);
         let qualified = epsilon >= self.params.eps_min && delta_lb >= self.params.delta_min;
@@ -284,13 +278,7 @@ impl<'g> Scpm<'g> {
                 if let Some(sub) = outcome.sub.as_deref() {
                     let (cliques, tk_stats) = engine.top_k_on(sub, self.params.k);
                     live_ops += tk_stats.kernel_ops;
-                    result.stats.qc_nodes_topk += tk_stats.nodes_visited;
-                    result.stats.qc_edge_tests += tk_stats.edge_tests;
-                    result.stats.qc_kernel_ops += tk_stats.kernel_ops;
-                    result.stats.qc_fused_ops += tk_stats.fused_ops;
-                    result.stats.qc_blocks_skipped += tk_stats.blocks_skipped;
-                    result.stats.qc_probes_elided += tk_stats.probes_elided;
-                    result.stats.qc_batch_ops += tk_stats.batch_ops;
+                    result.stats.add_topk(&tk_stats);
                     for clique in &cliques {
                         result.patterns.push(Pattern {
                             attrs: attrs.clone(),
@@ -382,13 +370,7 @@ impl<'g> Scpm<'g> {
             "replayed a set whose support changed — dirty-set bug"
         );
         result.stats.attribute_sets_examined += 1;
-        result.stats.qc_nodes_coverage += record.coverage_stats.nodes_visited;
-        result.stats.qc_edge_tests += record.coverage_stats.edge_tests;
-        result.stats.qc_kernel_ops += record.coverage_stats.kernel_ops;
-        result.stats.qc_fused_ops += record.coverage_stats.fused_ops;
-        result.stats.qc_blocks_skipped += record.coverage_stats.blocks_skipped;
-        result.stats.qc_probes_elided += record.coverage_stats.probes_elided;
-        result.stats.qc_batch_ops += record.coverage_stats.batch_ops;
+        result.stats.add_coverage(&record.coverage_stats);
         let epsilon = record.epsilon;
         let delta_lb = self.model.normalize(epsilon, support);
         let qualified = epsilon >= self.params.eps_min && delta_lb >= self.params.delta_min;
@@ -414,13 +396,7 @@ impl<'g> Scpm<'g> {
                         }
                         None => engine.top_k(tids.as_slice(), parent_cover, self.params.k),
                     };
-                    result.stats.qc_nodes_topk += tk_stats.nodes_visited;
-                    result.stats.qc_edge_tests += tk_stats.edge_tests;
-                    result.stats.qc_kernel_ops += tk_stats.kernel_ops;
-                    result.stats.qc_fused_ops += tk_stats.fused_ops;
-                    result.stats.qc_blocks_skipped += tk_stats.blocks_skipped;
-                    result.stats.qc_probes_elided += tk_stats.probes_elided;
-                    result.stats.qc_batch_ops += tk_stats.batch_ops;
+                    result.stats.add_topk(&tk_stats);
                     for clique in &cliques {
                         result.patterns.push(Pattern {
                             attrs: attrs.clone(),

@@ -71,8 +71,8 @@ pub use nullmodel::{
     NullModelCache, SimExpected, SimulationModel,
 };
 pub use parallel::{
-    run_parallel, run_parallel_branch_level, run_parallel_traced, run_parallel_with,
-    ParallelConfig, SubtreeTrace, DEFAULT_SPLIT_DEPTH,
+    run_parallel, run_parallel_traced, run_parallel_with, ParallelConfig, SubtreeTrace,
+    DEFAULT_SPLIT_DEPTH,
 };
 pub use params::{ScpmParams, ScpmPruneFlags};
 pub use pattern::{describe_patterns, AttributeSetReport, Pattern, ScpmResult, ScpmStats};

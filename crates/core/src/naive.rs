@@ -42,13 +42,7 @@ pub fn run_naive(graph: &AttributedGraph, params: &ScpmParams) -> ScpmResult {
         let support = itemset.support();
         // Full maximal quasi-clique enumeration of G(S).
         let (cliques, stats) = engine.enumerate_all(itemset.tids.as_slice());
-        result.stats.qc_nodes_coverage += stats.nodes_visited;
-        result.stats.qc_edge_tests += stats.edge_tests;
-        result.stats.qc_kernel_ops += stats.kernel_ops;
-        result.stats.qc_fused_ops += stats.fused_ops;
-        result.stats.qc_blocks_skipped += stats.blocks_skipped;
-        result.stats.qc_probes_elided += stats.probes_elided;
-        result.stats.qc_batch_ops += stats.batch_ops;
+        result.stats.add_coverage(&stats);
         let mut covered: Vec<u32> = cliques
             .iter()
             .flat_map(|q| q.vertices.iter().copied())

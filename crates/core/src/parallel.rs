@@ -456,76 +456,6 @@ fn steal_from_peers(stealers: &[Stealer<Task>], wid: usize) -> Option<Task> {
     None
 }
 
-/// The PR-1 branch-level driver, retained as the benchmark baseline for
-/// the work-stealing scheduler (and as a third independent implementation
-/// for the determinism tests).
-///
-/// Distributes only level-1 branches over `num_threads` workers (clamped
-/// to the branch count) via an atomic cursor; a single hot branch
-/// serializes on one worker, which is precisely the weakness
-/// [`run_parallel`] removes. Output is bit-identical to [`Scpm::run`].
-pub fn run_parallel_branch_level(
-    graph: &AttributedGraph,
-    params: ScpmParams,
-    num_threads: usize,
-) -> ScpmResult {
-    let scpm = Scpm::new(graph, params);
-    if num_threads <= 1 {
-        return scpm.run();
-    }
-    let start = Instant::now();
-    let mut result = ScpmResult::default();
-    let level1 = {
-        let engine = scpm.engine();
-        scpm.level1_entries(&engine, &mut result)
-    };
-
-    let branches = level1.len();
-    let workers = num_threads.min(branches);
-    let next_branch = AtomicUsize::new(0);
-    let mut branch_results: Vec<ScpmResult> = Vec::new();
-    if workers > 0 {
-        crossbeam::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for _ in 0..workers {
-                let scpm_ref = &scpm;
-                let level1_ref = &level1;
-                let next_ref = &next_branch;
-                handles.push(scope.spawn(move |_| {
-                    let engine = scpm_ref.engine();
-                    // (branch index, branch-local result) pairs.
-                    let mut locals: Vec<(usize, ScpmResult)> = Vec::new();
-                    loop {
-                        let i = next_ref.fetch_add(1, Ordering::Relaxed);
-                        if i >= branches {
-                            break;
-                        }
-                        let mut local = ScpmResult::default();
-                        scpm_ref.enumerate_branch(&engine, level1_ref, i, &mut local);
-                        locals.push((i, local));
-                    }
-                    locals
-                }));
-            }
-            let mut all: Vec<(usize, ScpmResult)> = Vec::new();
-            for handle in handles {
-                all.extend(handle.join().expect("scpm worker panicked"));
-            }
-            all.sort_by_key(|(i, _)| *i);
-            branch_results = all.into_iter().map(|(_, r)| r).collect();
-        })
-        .expect("crossbeam scope failed");
-    }
-
-    for branch in branch_results {
-        result.reports.extend(branch.reports);
-        result.patterns.extend(branch.patterns);
-        result.stats.merge(&branch.stats);
-    }
-    result.stats.elapsed = start.elapsed();
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -567,21 +497,6 @@ mod tests {
                     parallel.stats.attribute_sets_examined
                 );
             }
-        }
-    }
-
-    #[test]
-    fn branch_level_baseline_matches_serial() {
-        let g = figure1();
-        let params = ScpmParams::new(2, 0.6, 4).with_eps_min(0.1);
-        let serial = Scpm::new(&g, params.clone()).run();
-        for threads in [1, 2, 8] {
-            let baseline = run_parallel_branch_level(&g, params.clone(), threads);
-            assert_eq!(
-                comparable(&serial),
-                comparable(&baseline),
-                "threads = {threads}"
-            );
         }
     }
 

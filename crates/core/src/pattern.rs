@@ -4,7 +4,7 @@ use std::time::Duration;
 
 use scpm_graph::attributed::{AttrId, AttributedGraph};
 use scpm_graph::csr::VertexId;
-use scpm_quasiclique::QuasiClique;
+use scpm_quasiclique::{QuasiClique, SearchStats};
 
 /// A structural correlation pattern `(S, Q)` (Definition 3): a quasi-clique
 /// `Q` from the subgraph induced by the attribute set `S`.
@@ -117,6 +117,28 @@ impl ScpmStats {
         self.qc_probes_elided += other.qc_probes_elided;
         self.qc_batch_ops += other.qc_batch_ops;
         // `elapsed` is wall-clock and set by the driver, not summed.
+    }
+
+    /// Folds one coverage search's counters into the run totals.
+    pub fn add_coverage(&mut self, s: &SearchStats) {
+        self.qc_nodes_coverage += s.nodes_visited;
+        self.add_work(s);
+    }
+
+    /// Folds one top-k search's counters into the run totals.
+    pub fn add_topk(&mut self, s: &SearchStats) {
+        self.qc_nodes_topk += s.nodes_visited;
+        self.add_work(s);
+    }
+
+    /// The work counters both search kinds share.
+    fn add_work(&mut self, s: &SearchStats) {
+        self.qc_edge_tests += s.edge_tests;
+        self.qc_kernel_ops += s.kernel_ops;
+        self.qc_fused_ops += s.fused_ops;
+        self.qc_blocks_skipped += s.blocks_skipped;
+        self.qc_probes_elided += s.probes_elided;
+        self.qc_batch_ops += s.batch_ops;
     }
 }
 
@@ -234,6 +256,52 @@ mod tests {
             delta_lb: delta,
             qualified: true,
         }
+    }
+
+    #[test]
+    fn search_stats_roll_up_into_their_own_fields() {
+        let s = SearchStats {
+            nodes_visited: 1,
+            edge_tests: 2,
+            kernel_ops: 3,
+            fused_ops: 4,
+            blocks_skipped: 5,
+            probes_elided: 6,
+            batch_ops: 7,
+            // Prune and emission events have no run-level counter.
+            pruned_feasibility: 100,
+            emitted: 100,
+            ..SearchStats::default()
+        };
+        let work = ScpmStats {
+            qc_edge_tests: 2,
+            qc_kernel_ops: 3,
+            qc_fused_ops: 4,
+            qc_blocks_skipped: 5,
+            qc_probes_elided: 6,
+            qc_batch_ops: 7,
+            ..ScpmStats::default()
+        };
+
+        let mut coverage = ScpmStats::default();
+        coverage.add_coverage(&s);
+        assert_eq!(
+            coverage,
+            ScpmStats {
+                qc_nodes_coverage: 1,
+                ..work
+            }
+        );
+
+        let mut topk = ScpmStats::default();
+        topk.add_topk(&s);
+        assert_eq!(
+            topk,
+            ScpmStats {
+                qc_nodes_topk: 1,
+                ..work
+            }
+        );
     }
 
     #[test]

@@ -103,13 +103,7 @@ impl<'g> Scorp<'g> {
         let support = tids.support();
         let outcome = engine.epsilon(tids.as_slice(), parent_cover);
         result.stats.attribute_sets_examined += 1;
-        result.stats.qc_nodes_coverage += outcome.stats.nodes_visited;
-        result.stats.qc_edge_tests += outcome.stats.edge_tests;
-        result.stats.qc_kernel_ops += outcome.stats.kernel_ops;
-        result.stats.qc_fused_ops += outcome.stats.fused_ops;
-        result.stats.qc_blocks_skipped += outcome.stats.blocks_skipped;
-        result.stats.qc_probes_elided += outcome.stats.probes_elided;
-        result.stats.qc_batch_ops += outcome.stats.batch_ops;
+        result.stats.add_coverage(&outcome.stats);
         let epsilon = outcome.epsilon;
         let delta_lb = self.model.normalize(epsilon, support);
         let qualified = epsilon >= self.params.eps_min;
@@ -134,13 +128,7 @@ impl<'g> Scorp<'g> {
                     tids.as_slice().to_vec()
                 };
                 let (mut cliques, stats) = engine.enumerate_all(&restricted);
-                result.stats.qc_nodes_topk += stats.nodes_visited;
-                result.stats.qc_edge_tests += stats.edge_tests;
-                result.stats.qc_kernel_ops += stats.kernel_ops;
-                result.stats.qc_fused_ops += stats.fused_ops;
-                result.stats.qc_blocks_skipped += stats.blocks_skipped;
-                result.stats.qc_probes_elided += stats.probes_elided;
-                result.stats.qc_batch_ops += stats.batch_ops;
+                result.stats.add_topk(&stats);
                 cliques.sort_by(pattern_order);
                 for clique in cliques {
                     result.patterns.push(Pattern {

@@ -165,353 +165,6 @@ pub fn gather_intersect_popcount(a: &[u64], b: &[u64], idx: &[u32]) -> usize {
     total as usize
 }
 
-/// Counts `|a ∩ b|` for two packed word slices (zip-truncated to the
-/// shorter slice). Thin alias of [`intersect_popcount`], kept under the
-/// historical name.
-#[inline]
-pub fn intersect_word_count(a: &[u64], b: &[u64]) -> usize {
-    intersect_popcount(a, b)
-}
-
-/// Whether this build carries the explicit-SIMD kernel backends (the
-/// `simd` cargo feature). Without it every backend request resolves to
-/// [`KernelBackend::Scalar`]; the CLI uses this to reject `--repr simd`
-/// on builds that cannot honor it.
-#[inline]
-pub const fn simd_compiled() -> bool {
-    cfg!(feature = "simd")
-}
-
-/// Which implementation executes the word-parallel kernels.
-///
-/// The dispatch ladder is: explicit AVX2 (`x86_64`, runtime-detected) →
-/// explicit NEON (`aarch64`) → the [`LANE_WORDS`]-blocked scalar loops
-/// that stable rustc auto-vectorizes. Every backend computes bit-for-bit
-/// identical results — the per-kernel equivalence property tests pin each
-/// SIMD kernel to its scalar twin — so backend choice can never change a
-/// search outcome, only the instructions retiring per word.
-///
-/// The engine resolves a backend **once at pack time** (when the dense
-/// [`BitAdjacency`] is built) via [`detect_kernel_backend`] and threads it
-/// through the `*_with` kernel entry points; per-call dispatch is a
-/// predictable branch on an enum already in a register.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum KernelBackend {
-    /// Blocked scalar loops (always available, the portable fallback).
-    #[default]
-    Scalar,
-    /// 256-bit AVX2 kernels (`x86_64` with runtime `avx2` detection).
-    Avx2,
-    /// 128-bit NEON kernels (`aarch64`, baseline feature).
-    Neon,
-}
-
-impl KernelBackend {
-    /// Human-readable backend name for logs and perf reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            KernelBackend::Scalar => "scalar",
-            KernelBackend::Avx2 => "avx2",
-            KernelBackend::Neon => "neon",
-        }
-    }
-}
-
-/// Picks the best kernel backend this build *and* this CPU support.
-///
-/// Returns [`KernelBackend::Scalar`] unless the `simd` feature is
-/// compiled in; with it, `x86_64` hosts probe `avx2` at runtime (the
-/// result is cached by `std`) and `aarch64` hosts use NEON
-/// unconditionally (it is a baseline feature of the architecture).
-pub fn detect_kernel_backend() -> KernelBackend {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return KernelBackend::Avx2;
-        }
-    }
-    #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-    {
-        return KernelBackend::Neon;
-    }
-    #[allow(unreachable_code)]
-    KernelBackend::Scalar
-}
-
-/// [`intersect_popcount`] through an explicit backend. A SIMD backend
-/// that this build or architecture cannot execute falls back to scalar,
-/// so callers may pass any backend obtained from
-/// [`detect_kernel_backend`] (possibly on another build) safely.
-#[inline]
-pub fn intersect_popcount_with(backend: KernelBackend, a: &[u64], b: &[u64]) -> usize {
-    match backend {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        // SAFETY: Avx2 is only produced by detect_kernel_backend after a
-        // positive runtime probe; a hand-constructed value on a non-AVX2
-        // CPU is the caller's contract violation.
-        KernelBackend::Avx2 => unsafe { avx2::intersect_popcount(a, b) },
-        #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-        KernelBackend::Neon => neon::intersect_popcount(a, b),
-        _ => intersect_popcount(a, b),
-    }
-}
-
-/// [`and_not_count`] through an explicit backend (see
-/// [`intersect_popcount_with`] for the fallback contract).
-#[inline]
-pub fn and_not_count_with(backend: KernelBackend, a: &[u64], b: &[u64]) -> usize {
-    match backend {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        // SAFETY: see intersect_popcount_with.
-        KernelBackend::Avx2 => unsafe { avx2::and_not_count(a, b) },
-        #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-        KernelBackend::Neon => neon::and_not_count(a, b),
-        _ => and_not_count(a, b),
-    }
-}
-
-/// [`difference_is_empty`] through an explicit backend (see
-/// [`intersect_popcount_with`] for the fallback contract).
-#[inline]
-pub fn difference_is_empty_with(backend: KernelBackend, a: &[u64], b: &[u64]) -> bool {
-    match backend {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        // SAFETY: see intersect_popcount_with.
-        KernelBackend::Avx2 => unsafe { avx2::difference_is_empty(a, b) },
-        #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-        KernelBackend::Neon => neon::difference_is_empty(a, b),
-        _ => difference_is_empty(a, b),
-    }
-}
-
-/// [`gather_intersect_popcount`] through an explicit backend (see
-/// [`intersect_popcount_with`] for the fallback contract).
-#[inline]
-pub fn gather_intersect_popcount_with(
-    backend: KernelBackend,
-    a: &[u64],
-    b: &[u64],
-    idx: &[u32],
-) -> usize {
-    match backend {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        // SAFETY: see intersect_popcount_with.
-        KernelBackend::Avx2 => unsafe { avx2::gather_intersect_popcount(a, b, idx) },
-        #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-        KernelBackend::Neon => neon::gather_intersect_popcount(a, b, idx),
-        _ => gather_intersect_popcount(a, b, idx),
-    }
-}
-
-/// Explicit 256-bit AVX2 kernels. Popcounts use the nibble-lookup
-/// (`vpshufb`) + `vpsadbw` reduction, the standard in-register AVX2
-/// popcount; remainder words (fewer than [`LANE_WORDS`]) fall back to
-/// scalar `count_ones`, matching the blocked-scalar twins bit for bit.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-mod avx2 {
-    use core::arch::x86_64::*;
-
-    /// Per-byte popcount of `v`, summed per 64-bit lane (`vpsadbw`).
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    unsafe fn popcount_lanes(v: __m256i) -> __m256i {
-        let lookup = _mm256_setr_epi8(
-            0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, // low 128
-            0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, // high 128
-        );
-        let low_mask = _mm256_set1_epi8(0x0f);
-        let lo = _mm256_and_si256(v, low_mask);
-        let hi = _mm256_and_si256(_mm256_srli_epi32::<4>(v), low_mask);
-        let cnt = _mm256_add_epi8(
-            _mm256_shuffle_epi8(lookup, lo),
-            _mm256_shuffle_epi8(lookup, hi),
-        );
-        _mm256_sad_epu8(cnt, _mm256_setzero_si256())
-    }
-
-    /// Horizontal sum of the four 64-bit lanes of `v`.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    unsafe fn hsum_u64(v: __m256i) -> u64 {
-        let s = _mm_add_epi64(_mm256_castsi256_si128(v), _mm256_extracti128_si256::<1>(v));
-        (_mm_extract_epi64::<0>(s) as u64).wrapping_add(_mm_extract_epi64::<1>(s) as u64)
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn intersect_popcount(a: &[u64], b: &[u64]) -> usize {
-        let n = a.len().min(b.len());
-        let chunks = n / 4;
-        let mut acc = _mm256_setzero_si256();
-        for i in 0..chunks {
-            let va = _mm256_loadu_si256(a.as_ptr().add(i * 4) as *const __m256i);
-            let vb = _mm256_loadu_si256(b.as_ptr().add(i * 4) as *const __m256i);
-            acc = _mm256_add_epi64(acc, popcount_lanes(_mm256_and_si256(va, vb)));
-        }
-        let mut total = hsum_u64(acc);
-        for i in chunks * 4..n {
-            total += (a[i] & b[i]).count_ones() as u64;
-        }
-        total as usize
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn and_not_count(a: &[u64], b: &[u64]) -> usize {
-        let n = a.len().min(b.len());
-        let chunks = n / 4;
-        let mut acc = _mm256_setzero_si256();
-        for i in 0..chunks {
-            let va = _mm256_loadu_si256(a.as_ptr().add(i * 4) as *const __m256i);
-            let vb = _mm256_loadu_si256(b.as_ptr().add(i * 4) as *const __m256i);
-            // vpandn computes !first & second, so b comes first.
-            acc = _mm256_add_epi64(acc, popcount_lanes(_mm256_andnot_si256(vb, va)));
-        }
-        let mut total = hsum_u64(acc);
-        for i in chunks * 4..n {
-            total += (a[i] & !b[i]).count_ones() as u64;
-        }
-        for &x in &a[n..] {
-            total += x.count_ones() as u64;
-        }
-        total as usize
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn difference_is_empty(a: &[u64], b: &[u64]) -> bool {
-        let n = a.len().min(b.len());
-        let chunks = n / 4;
-        for i in 0..chunks {
-            let va = _mm256_loadu_si256(a.as_ptr().add(i * 4) as *const __m256i);
-            let vb = _mm256_loadu_si256(b.as_ptr().add(i * 4) as *const __m256i);
-            let d = _mm256_andnot_si256(vb, va);
-            if _mm256_testz_si256(d, d) == 0 {
-                return false;
-            }
-        }
-        for i in chunks * 4..n {
-            if a[i] & !b[i] != 0 {
-                return false;
-            }
-        }
-        a[n..].iter().all(|&x| x == 0)
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn gather_intersect_popcount(a: &[u64], b: &[u64], idx: &[u32]) -> usize {
-        let chunks = idx.len() / 4;
-        let mut acc = _mm256_setzero_si256();
-        for c in 0..chunks {
-            let i = c * 4;
-            let vidx = _mm256_setr_epi64x(
-                idx[i] as i64,
-                idx[i + 1] as i64,
-                idx[i + 2] as i64,
-                idx[i + 3] as i64,
-            );
-            let va = _mm256_i64gather_epi64::<8>(a.as_ptr() as *const i64, vidx);
-            let vb = _mm256_i64gather_epi64::<8>(b.as_ptr() as *const i64, vidx);
-            acc = _mm256_add_epi64(acc, popcount_lanes(_mm256_and_si256(va, vb)));
-        }
-        let mut total = hsum_u64(acc);
-        for &wi in &idx[chunks * 4..] {
-            total += (a[wi as usize] & b[wi as usize]).count_ones() as u64;
-        }
-        total as usize
-    }
-}
-
-/// Explicit 128-bit NEON kernels (`aarch64` only; NEON is a baseline
-/// feature there, so no runtime probe is needed). Popcounts use
-/// `vcntq_u8` + widening horizontal add; remainder words fall back to
-/// scalar `count_ones`, matching the blocked-scalar twins bit for bit.
-#[cfg(all(feature = "simd", target_arch = "aarch64"))]
-mod neon {
-    use core::arch::aarch64::*;
-
-    pub fn intersect_popcount(a: &[u64], b: &[u64]) -> usize {
-        let n = a.len().min(b.len());
-        let chunks = n / 2;
-        let mut total = 0u64;
-        // SAFETY: NEON is baseline on aarch64; loads stay within `n`.
-        unsafe {
-            for i in 0..chunks {
-                let va = vld1q_u64(a.as_ptr().add(i * 2));
-                let vb = vld1q_u64(b.as_ptr().add(i * 2));
-                let x = vandq_u64(va, vb);
-                total += vaddlvq_u8(vcntq_u8(vreinterpretq_u8_u64(x))) as u64;
-            }
-        }
-        for i in chunks * 2..n {
-            total += (a[i] & b[i]).count_ones() as u64;
-        }
-        total as usize
-    }
-
-    pub fn and_not_count(a: &[u64], b: &[u64]) -> usize {
-        let n = a.len().min(b.len());
-        let chunks = n / 2;
-        let mut total = 0u64;
-        // SAFETY: NEON is baseline on aarch64; loads stay within `n`.
-        unsafe {
-            for i in 0..chunks {
-                let va = vld1q_u64(a.as_ptr().add(i * 2));
-                let vb = vld1q_u64(b.as_ptr().add(i * 2));
-                // vbic computes first & !second.
-                let x = vbicq_u64(va, vb);
-                total += vaddlvq_u8(vcntq_u8(vreinterpretq_u8_u64(x))) as u64;
-            }
-        }
-        for i in chunks * 2..n {
-            total += (a[i] & !b[i]).count_ones() as u64;
-        }
-        for &x in &a[n..] {
-            total += x.count_ones() as u64;
-        }
-        total as usize
-    }
-
-    pub fn difference_is_empty(a: &[u64], b: &[u64]) -> bool {
-        let n = a.len().min(b.len());
-        let chunks = n / 2;
-        // SAFETY: NEON is baseline on aarch64; loads stay within `n`.
-        unsafe {
-            for i in 0..chunks {
-                let va = vld1q_u64(a.as_ptr().add(i * 2));
-                let vb = vld1q_u64(b.as_ptr().add(i * 2));
-                let d = vbicq_u64(va, vb);
-                if vmaxvq_u32(vreinterpretq_u32_u64(d)) != 0 {
-                    return false;
-                }
-            }
-        }
-        for i in chunks * 2..n {
-            if a[i] & !b[i] != 0 {
-                return false;
-            }
-        }
-        a[n..].iter().all(|&x| x == 0)
-    }
-
-    pub fn gather_intersect_popcount(a: &[u64], b: &[u64], idx: &[u32]) -> usize {
-        let chunks = idx.len() / 2;
-        let mut total = 0u64;
-        // SAFETY: NEON is baseline on aarch64; gathered words are ANDed
-        // in-register two at a time.
-        unsafe {
-            for c in 0..chunks {
-                let (i0, i1) = (idx[c * 2] as usize, idx[c * 2 + 1] as usize);
-                let ax = [a[i0], a[i1]];
-                let bx = [b[i0], b[i1]];
-                let x = vandq_u64(vld1q_u64(ax.as_ptr()), vld1q_u64(bx.as_ptr()));
-                total += vaddlvq_u8(vcntq_u8(vreinterpretq_u8_u64(x))) as u64;
-            }
-        }
-        for &wi in &idx[chunks * 2..] {
-            total += (a[wi as usize] & b[wi as usize]).count_ones() as u64;
-        }
-        total as usize
-    }
-}
-
 /// What one [`VertexBitset::active_words_into`] scan touched — the numbers
 /// the engine folds into its modeled-cost counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -749,14 +402,6 @@ impl VertexBitset {
     /// the summary.
     #[inline]
     pub fn intersect_count_words(&self, words: &[u64]) -> usize {
-        self.intersect_count_words_with(KernelBackend::Scalar, words)
-    }
-
-    /// [`VertexBitset::intersect_count_words`] through an explicit kernel
-    /// backend — the same block-skipping walk, with the per-block popcount
-    /// dispatched via [`intersect_popcount_with`].
-    #[inline]
-    pub fn intersect_count_words_with(&self, backend: KernelBackend, words: &[u64]) -> usize {
         debug_assert!(self.canonical());
         let mut total = 0usize;
         for (bi, &s) in self.summary.iter().enumerate() {
@@ -765,7 +410,7 @@ impl VertexBitset {
             }
             let start = bi * SUMMARY_GROUP_WORDS;
             let end = (start + SUMMARY_GROUP_WORDS).min(self.words.len());
-            total += intersect_popcount_with(backend, &self.words[start..end], &words[start..end]);
+            total += intersect_popcount(&self.words[start..end], &words[start..end]);
         }
         total
     }
@@ -789,13 +434,8 @@ impl VertexBitset {
     /// Whether `self ⊆ other` (fused blocked [`difference_is_empty`] with
     /// per-block early exit).
     pub fn is_subset_of(&self, other: &VertexBitset) -> bool {
-        self.is_subset_of_with(KernelBackend::Scalar, other)
-    }
-
-    /// [`VertexBitset::is_subset_of`] through an explicit kernel backend.
-    pub fn is_subset_of_with(&self, backend: KernelBackend, other: &VertexBitset) -> bool {
         debug_assert!(self.canonical() && other.canonical());
-        difference_is_empty_with(backend, &self.words, &other.words)
+        difference_is_empty(&self.words, &other.words)
     }
 
     /// Recomputes the summary hierarchy from the data words (used after
@@ -1007,17 +647,6 @@ impl BitAdjacency {
     pub fn degree_within(&self, v: VertexId, set: &VertexBitset) -> usize {
         set.intersect_count_words(self.row(v))
     }
-
-    /// [`BitAdjacency::degree_within`] through an explicit kernel backend.
-    #[inline]
-    pub fn degree_within_with(
-        &self,
-        backend: KernelBackend,
-        v: VertexId,
-        set: &VertexBitset,
-    ) -> usize {
-        set.intersect_count_words_with(backend, self.row(v))
-    }
 }
 
 #[cfg(test)]
@@ -1094,6 +723,43 @@ mod tests {
         );
     }
 
+    /// The packed words `w` as a set over `len · 64` bits, zero-padded
+    /// past `w.len()`.
+    fn padded(w: &[u64], len: usize) -> VertexBitset {
+        let members: Vec<VertexId> = (0..len * WORD_BITS)
+            .filter(|&i| {
+                w.get(i / WORD_BITS)
+                    .is_some_and(|x| x >> (i % WORD_BITS) & 1 == 1)
+            })
+            .map(|i| i as VertexId)
+            .collect();
+        VertexBitset::from_sorted(len * WORD_BITS, &members)
+    }
+
+    /// Checks every fused kernel on the raw slices `(a, b)` against the
+    /// composed set primitives over the zero-padded common universe —
+    /// which is exactly the kernels' unequal-length contract: the
+    /// intersection zip-truncates, and words of `a` past `b` belong to the
+    /// difference.
+    fn assert_fused_matches_composed(a: &[u64], b: &[u64]) {
+        let len = a.len().max(b.len());
+        let (sa, sb) = (padded(a, len), padded(b, len));
+        let mut inter = sa.clone();
+        inter.intersect_with(&sb);
+        let mut diff = sa.clone();
+        diff.difference_with(&sb);
+        let ctx = format!("a.len()={} b.len()={}", a.len(), b.len());
+        assert_eq!(intersect_popcount(a, b), inter.count(), "{ctx}");
+        assert_eq!(and_not_count(a, b), diff.count(), "{ctx}");
+        assert_eq!(difference_is_empty(a, b), diff.is_empty(), "{ctx}");
+        let idx: Vec<u32> = (0..a.len().min(b.len()) as u32).collect();
+        assert_eq!(
+            gather_intersect_popcount(a, b, &idx),
+            inter.count(),
+            "{ctx}"
+        );
+    }
+
     #[test]
     fn fused_kernels_handle_unequal_lengths() {
         // a longer than b: the tail belongs to the difference.
@@ -1105,6 +771,37 @@ mod tests {
         let zero_tail = [0b0011u64, 0, 0];
         assert!(difference_is_empty(&zero_tail, &b));
         assert!(difference_is_empty(&[], &b));
+        for (x, y) in [(&a[..], &b[..]), (&b, &a), (&zero_tail, &b), (&[], &b)] {
+            assert_fused_matches_composed(x, y);
+        }
+
+        let zero128 = vec![0u64; 128];
+        let ones128 = vec![u64::MAX; 128];
+        let mut single = vec![0u64; 128];
+        single[127] = 1 << 63; // bit 8191: the very last bit of 8192
+        assert_eq!(intersect_popcount(&ones128, &ones128), 8192);
+        assert_eq!(and_not_count(&ones128[..7], &zero128[..3]), 448);
+        let cases: [(&[u64], &[u64]); 12] = [
+            // Empty and all-zero operands (all-zero summaries).
+            (&[], &[]),
+            (&zero128, &ones128),
+            (&zero128, &zero128),
+            // Bit 8191 of an 8192-bit set.
+            (&ones128, &ones128),
+            (&single, &ones128),
+            (&single, &zero128),
+            // `a` longer than `b`, down to an empty `b`.
+            (&ones128, &zero128[..5]),
+            (&ones128, &[]),
+            (&single, &[]),
+            // Exactly one 4-word block plus a 3-word tail, both ways round.
+            (&ones128[..7], &ones128[..7]),
+            (&ones128[..7], &zero128[..3]),
+            (&zero128[..3], &ones128[..7]),
+        ];
+        for (x, y) in cases {
+            assert_fused_matches_composed(x, y);
+        }
     }
 
     #[test]

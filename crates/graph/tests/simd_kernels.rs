@@ -1,34 +1,36 @@
-//! Kernel-equivalence suite: every explicit-SIMD kernel must be
-//! bit-for-bit equal to its blocked-scalar twin on adversarial word
-//! patterns — tail masks, all-zero summaries, single-bit rows, unequal
-//! slice lengths, and ≥ 8192-bit sets (past the 4-word blocking and the
-//! 8-word summary grouping).
+//! Kernel edge-case suite: the blocked word kernels against a
+//! word-at-a-time reference on adversarial word patterns — tail masks,
+//! all-zero summaries, single-bit rows, unequal slice lengths, and
+//! ≥ 8192-bit sets (past the 4-word blocking and the 8-word summary
+//! grouping).
 //!
-//! The `_with` dispatchers accept an explicit [`KernelBackend`], so one
-//! process exercises the scalar path and (when compiled and available)
-//! the AVX2/NEON paths side by side. On a build without the `simd`
-//! feature — or on hardware without the instruction set — an explicit
-//! backend request falls back to scalar and the comparisons degenerate
-//! to scalar-vs-scalar: the suite runs (and must pass) under both
-//! feature configurations, which is exactly what CI's feature-matrix job
-//! does.
+//! The reference reads a missing word as zero, so over unequal lengths
+//! the intersection zip-truncates and the words of `a` past the end of
+//! `b` belong to the difference.
 
 use proptest::prelude::*;
 use scpm_graph::bitadj::{
-    and_not_count, and_not_count_with, detect_kernel_backend, difference_is_empty,
-    difference_is_empty_with, gather_intersect_popcount, gather_intersect_popcount_with,
-    intersect_popcount, intersect_popcount_with, simd_compiled, BitAdjacency, KernelBackend,
-    VertexBitset,
+    and_not_count, difference_is_empty, gather_intersect_popcount, intersect_popcount,
 };
-use scpm_graph::builder::GraphBuilder;
 
-/// Every backend variant; unavailable ones dispatch to scalar, so the
-/// list is safe to iterate unconditionally.
-const BACKENDS: [KernelBackend; 3] = [
-    KernelBackend::Scalar,
-    KernelBackend::Avx2,
-    KernelBackend::Neon,
-];
+/// Word `i` of `s`, zero past its end.
+fn at(s: &[u64], i: usize) -> u64 {
+    s.get(i).copied().unwrap_or(0)
+}
+
+/// Reference `|a ∩ b|`, one word at a time.
+fn ref_intersect(a: &[u64], b: &[u64]) -> usize {
+    (0..a.len().max(b.len()))
+        .map(|i| (at(a, i) & at(b, i)).count_ones() as usize)
+        .sum()
+}
+
+/// Reference `|a \ b|`, one word at a time.
+fn ref_and_not(a: &[u64], b: &[u64]) -> usize {
+    (0..a.len().max(b.len()))
+        .map(|i| (at(a, i) & !at(b, i)).count_ones() as usize)
+        .sum()
+}
 
 /// One word drawn from the adversarial corners, not just uniform bits:
 /// all-zero (empty summaries), all-one, single-bit, low/high tail masks,
@@ -58,46 +60,21 @@ proptest! {
     /// `|a ∩ b|` — including unequal lengths (zip-truncation).
     #[test]
     fn intersect_popcount_backends_agree(a in words(160), b in words(160)) {
-        let expect = intersect_popcount(&a, &b);
-        for backend in BACKENDS {
-            prop_assert_eq!(
-                intersect_popcount_with(backend, &a, &b),
-                expect,
-                "backend {:?}",
-                backend
-            );
-        }
+        prop_assert_eq!(intersect_popcount(&a, &b), ref_intersect(&a, &b));
     }
 
     /// `|a \ b|` — words of `a` beyond `b`'s length count into the
     /// difference, so the tail handling differs from plain truncation.
     #[test]
     fn and_not_count_backends_agree(a in words(160), b in words(160)) {
-        let expect = and_not_count(&a, &b);
-        for backend in BACKENDS {
-            prop_assert_eq!(
-                and_not_count_with(backend, &a, &b),
-                expect,
-                "backend {:?}",
-                backend
-            );
-        }
+        prop_assert_eq!(and_not_count(&a, &b), ref_and_not(&a, &b));
     }
 
     /// `a ⊆ b` — the early-exit kernel; equivalence with the counting
-    /// kernel pins the short-circuit against the full scan.
+    /// reference pins the short-circuit against the full scan.
     #[test]
     fn difference_is_empty_backends_agree(a in words(160), b in words(160)) {
-        let expect = difference_is_empty(&a, &b);
-        prop_assert_eq!(expect, and_not_count(&a, &b) == 0);
-        for backend in BACKENDS {
-            prop_assert_eq!(
-                difference_is_empty_with(backend, &a, &b),
-                expect,
-                "backend {:?}",
-                backend
-            );
-        }
+        prop_assert_eq!(difference_is_empty(&a, &b), ref_and_not(&a, &b) == 0);
     }
 
     /// Subset inputs hit the no-early-exit path of `difference_is_empty`
@@ -105,9 +82,8 @@ proptest! {
     #[test]
     fn difference_is_empty_on_forced_subsets(b in words(160), mask in words(160)) {
         let a: Vec<u64> = b.iter().zip(&mask).map(|(&x, &m)| x & m).collect();
-        for backend in BACKENDS {
-            prop_assert!(difference_is_empty_with(backend, &a, &b), "backend {:?}", backend);
-        }
+        prop_assert_eq!(ref_and_not(&a, &b), 0);
+        prop_assert!(difference_is_empty(&a, &b));
     }
 
     /// Gathered `|a ∩ b|` over an arbitrary in-range word-index list
@@ -121,103 +97,11 @@ proptest! {
         )),
     ) {
         let (a, b, idx) = ab;
-        let expect = gather_intersect_popcount(&a, &b, &idx);
-        for backend in BACKENDS {
-            prop_assert_eq!(
-                gather_intersect_popcount_with(backend, &a, &b, &idx),
-                expect,
-                "backend {:?}",
-                backend
-            );
-        }
-    }
-
-    /// The summary-blocked `VertexBitset` walk: per-block dispatch must
-    /// not change the count, for sparse single-bit sets through dense
-    /// ones, over universes past 8192 bits.
-    #[test]
-    fn bitset_intersect_count_words_backends_agree(
-        nv in prop_oneof![Just(64usize), Just(600), Just(8192), Just(9000)],
-        seed_bits in proptest::collection::vec(any::<u32>(), 0..60),
-        other in words(160),
-    ) {
-        let mut set: Vec<u32> = seed_bits.iter().map(|&b| b % nv as u32).collect();
-        set.sort_unstable();
-        set.dedup();
-        let bits = VertexBitset::from_sorted(nv, &set);
-        // The walk's contract: `other` is a same-universe packed row.
-        let mut other = other;
-        other.resize(bits.num_words(), 0);
-        let expect = bits.intersect_count_words(&other);
-        for backend in BACKENDS {
-            prop_assert_eq!(
-                bits.intersect_count_words_with(backend, &other),
-                expect,
-                "backend {:?}",
-                backend
-            );
-        }
-    }
-
-    /// Summary-level subset fast-reject plus the word-level check.
-    #[test]
-    fn bitset_is_subset_of_backends_agree(
-        nv in prop_oneof![Just(64usize), Just(600), Just(8192)],
-        seed_a in proptest::collection::vec(any::<u32>(), 0..40),
-        seed_b in proptest::collection::vec(any::<u32>(), 0..40),
-        force_subset in any::<bool>(),
-    ) {
-        let mut a: Vec<u32> = seed_a.iter().map(|&b| b % nv as u32).collect();
-        a.sort_unstable();
-        a.dedup();
-        let mut b: Vec<u32> = seed_b.iter().map(|&x| x % nv as u32).collect();
-        if force_subset {
-            b.extend_from_slice(&a);
-        }
-        b.sort_unstable();
-        b.dedup();
-        let (pa, pb) = (VertexBitset::from_sorted(nv, &a), VertexBitset::from_sorted(nv, &b));
-        let expect = pa.is_subset_of(&pb);
-        prop_assert_eq!(expect, a.iter().all(|v| b.contains(v)));
-        for backend in BACKENDS {
-            prop_assert_eq!(pa.is_subset_of_with(backend, &pb), expect, "backend {:?}", backend);
-        }
-    }
-
-    /// Row-vs-set degree through `BitAdjacency`: single-bit rows (leaf
-    /// vertices) up to dense rows, against sparse and dense member sets.
-    #[test]
-    fn degree_within_backends_agree(
-        n in 2usize..=96,
-        edges in proptest::collection::vec((any::<u32>(), any::<u32>()), 0..300),
-        members in proptest::collection::vec(any::<u32>(), 0..48),
-    ) {
-        let mut builder = GraphBuilder::new(n);
-        for (u, v) in edges {
-            let (u, v) = (u % n as u32, v % n as u32);
-            if u != v {
-                builder.add_edge(u, v);
-            }
-        }
-        let g = builder.build();
-        let adj = BitAdjacency::from_csr(&g);
-        let mut set: Vec<u32> = members.iter().map(|&m| m % n as u32).collect();
-        set.sort_unstable();
-        set.dedup();
-        let bits = VertexBitset::from_sorted(n, &set);
-        for v in 0..n as u32 {
-            let expect = adj.degree_within(v, &bits);
-            prop_assert_eq!(expect, g.degree_within(v, &set));
-            for backend in BACKENDS {
-                prop_assert_eq!(
-                    adj.degree_within_with(backend, v, &bits),
-                    expect,
-                    "v {}, backend {:?}",
-                    v,
-                    backend
-                );
-            }
-        }
+        let expect: usize = idx
+            .iter()
+            .map(|&i| (a[i as usize] & b[i as usize]).count_ones() as usize)
+            .sum();
+        prop_assert_eq!(gather_intersect_popcount(&a, &b, &idx), expect);
     }
 }
 
@@ -230,37 +114,20 @@ fn kernel_corner_cases() {
     let ones128 = vec![u64::MAX; 128];
     let mut single = vec![0u64; 128];
     single[127] = 1 << 63; // bit 8191: the very last bit of 8192
-    for backend in BACKENDS {
-        assert_eq!(intersect_popcount_with(backend, &[], &[]), 0);
-        assert_eq!(intersect_popcount_with(backend, &zero128, &ones128), 0);
-        assert_eq!(intersect_popcount_with(backend, &ones128, &ones128), 8192);
-        assert_eq!(intersect_popcount_with(backend, &single, &ones128), 1);
-        assert_eq!(and_not_count_with(backend, &ones128, &zero128), 8192);
-        assert_eq!(and_not_count_with(backend, &ones128, &[]), 8192);
-        assert_eq!(and_not_count_with(backend, &single, &ones128), 0);
-        assert!(difference_is_empty_with(backend, &zero128, &zero128));
-        assert!(difference_is_empty_with(backend, &single, &ones128));
-        assert!(!difference_is_empty_with(backend, &single, &zero128));
-        assert!(!difference_is_empty_with(backend, &single, &[]));
-        // Exactly one 4-word block, then a 3-word tail.
-        assert_eq!(
-            intersect_popcount_with(backend, &ones128[..7], &ones128[..7]),
-            448
-        );
-        assert_eq!(
-            and_not_count_with(backend, &ones128[..7], &zero128[..3]),
-            448
-        );
-    }
-}
-
-/// The detector resolves to a compiled-in backend, and `name()` round-
-/// trips — mostly a smoke check that the dispatch ladder is wired.
-#[test]
-fn detector_is_consistent_with_feature() {
-    let backend = detect_kernel_backend();
-    if !simd_compiled() {
-        assert_eq!(backend, KernelBackend::Scalar);
-    }
-    assert!(["scalar", "avx2", "neon"].contains(&backend.name()));
+    assert_eq!(intersect_popcount(&[], &[]), 0);
+    assert_eq!(intersect_popcount(&zero128, &ones128), 0);
+    assert_eq!(intersect_popcount(&ones128, &ones128), 8192);
+    assert_eq!(intersect_popcount(&single, &ones128), 1);
+    assert_eq!(and_not_count(&ones128, &zero128), 8192);
+    assert_eq!(and_not_count(&ones128, &[]), 8192);
+    assert_eq!(and_not_count(&single, &ones128), 0);
+    assert!(difference_is_empty(&zero128, &zero128));
+    assert!(difference_is_empty(&single, &ones128));
+    assert!(!difference_is_empty(&single, &zero128));
+    assert!(!difference_is_empty(&single, &[]));
+    // Exactly one 4-word block, then a 3-word tail.
+    assert_eq!(intersect_popcount(&ones128[..7], &ones128[..7]), 448);
+    assert_eq!(and_not_count(&ones128[..7], &zero128[..3]), 448);
+    assert_eq!(gather_intersect_popcount(&single, &ones128, &[127, 127]), 2);
+    assert_eq!(gather_intersect_popcount(&ones128, &ones128, &[]), 0);
 }

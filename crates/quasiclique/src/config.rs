@@ -4,8 +4,11 @@
 use scpm_graph::csr::{CsrGraph, VertexId};
 
 /// How the search engine represents adjacency and candidate sets in its
-/// hot loops (`PruneFlags`-style switch for A/B runs; results are
-/// identical either way, only the kernel costs differ).
+/// hot loops. Results are identical either way; only the kernel costs
+/// differ.
+///
+/// The discriminants are stable (`Slice = 0`, `Bitset = 1`): the memo
+/// fingerprint hashes `repr as u64`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Representation {
     /// Sorted-slice scans, stamp-array marking and binary searches over
@@ -23,14 +26,6 @@ pub enum Representation {
     /// [`BITADJ_MAX_VERTICES`](crate::engine::BITADJ_MAX_VERTICES).
     #[default]
     Bitset,
-    /// The bitset path with the explicit-SIMD kernel backend resolved at
-    /// pack time
-    /// ([`detect_kernel_backend`](scpm_graph::bitadj::detect_kernel_backend):
-    /// AVX2 → NEON → scalar). Identical search tree and counters to
-    /// [`Representation::Bitset`] — only the instructions per word differ.
-    /// On builds without the `simd` feature this is exactly the scalar
-    /// bitset path.
-    Simd,
 }
 
 /// Parameters of the quasi-clique definition: a vertex set `Q` is a
@@ -135,6 +130,14 @@ impl QcConfig {
 mod tests {
     use super::*;
     use scpm_graph::builder::graph_from_edges;
+
+    #[test]
+    fn representation_discriminants_are_stable() {
+        // Memo fingerprints hash `repr as u64`; renumbering would orphan
+        // every stored memo.
+        assert_eq!(Representation::Slice as u64, 0);
+        assert_eq!(Representation::Bitset as u64, 1);
+    }
 
     #[test]
     fn ceil_gamma_robust_to_fp_drift() {

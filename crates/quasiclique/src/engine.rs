@@ -43,8 +43,7 @@ use crate::config::{QcConfig, Representation};
 use crate::node::{candidate_feasible, member_feasible, SearchNode};
 use crate::reduce::reduce_vertices;
 use scpm_graph::bitadj::{
-    detect_kernel_backend, difference_is_empty_with, gather_intersect_popcount_with, BitAdjacency,
-    KernelBackend, VertexBitset,
+    difference_is_empty, gather_intersect_popcount, BitAdjacency, VertexBitset,
 };
 use scpm_graph::csr::{CsrGraph, VertexId};
 use scpm_graph::induced::{InducedSubgraph, RankMap};
@@ -415,14 +414,8 @@ impl<'g> Miner<'g> {
         scratch.reset(n);
         // Pack the reduced subgraph's adjacency once for the whole search;
         // oversized graphs fall back to the slice kernels (identical
-        // results, see `BITADJ_MAX_VERTICES`). The kernel backend is
-        // resolved here — once per pack — so the hot loops dispatch on a
-        // register-resident enum, never re-probing CPU features.
+        // results, see `BITADJ_MAX_VERTICES`).
         let bits_on = self.repr != Representation::Slice && n <= BITADJ_MAX_VERTICES;
-        let backend = match self.repr {
-            Representation::Simd if bits_on => detect_kernel_backend(),
-            _ => KernelBackend::Scalar,
-        };
         if bits_on {
             scratch.adj.rebuild(&sub.graph);
             // One pass packs the rows, a second lists each row's nonzero
@@ -432,7 +425,7 @@ impl<'g> Miner<'g> {
             scratch.adj.clear();
         }
         let mut ctx = Ctx::new(
-            &sub.graph, self.cfg, self.prune, self.order, mode, bits_on, backend, scratch,
+            &sub.graph, self.cfg, self.prune, self.order, mode, bits_on, scratch,
         );
         ctx.search(&mut stats);
         let Ctx { emitted, .. } = ctx;
@@ -453,7 +446,7 @@ impl<'g> Miner<'g> {
                 }
             }
             MiningMode::EnumerateMaximal => {
-                let maximal = containment_filter(emitted, n, backend, &mut stats);
+                let maximal = containment_filter(emitted, n, &mut stats);
                 let cliques = self.score(&sub, maximal);
                 MiningOutcome {
                     cliques,
@@ -462,7 +455,7 @@ impl<'g> Miner<'g> {
                 }
             }
             MiningMode::TopK(k) => {
-                let maximal = containment_filter(emitted, n, backend, &mut stats);
+                let maximal = containment_filter(emitted, n, &mut stats);
                 let mut cliques = self.score(&sub, maximal);
                 cliques.sort_by(pattern_order);
                 cliques.truncate(k);
@@ -509,7 +502,6 @@ impl<'g> Miner<'g> {
 fn containment_filter(
     mut sets: Vec<Vec<VertexId>>,
     n: usize,
-    backend: KernelBackend,
     stats: &mut SearchStats,
 ) -> Vec<Vec<VertexId>> {
     sets.sort_by(|a, b| b.len().cmp(&a.len()).then_with(|| a.cmp(b)));
@@ -527,11 +519,11 @@ fn containment_filter(
             // Summary fast-reject: a nonzero probe word over an empty
             // kept word disproves containment without touching the data
             // words (counted as every 8-word block skipped).
-            if !difference_is_empty_with(backend, probe.summary(), bigger.summary()) {
+            if !difference_is_empty(probe.summary(), bigger.summary()) {
                 stats.blocks_skipped += probe.num_blocks() as u64;
                 return false;
             }
-            probe.is_subset_of_with(backend, bigger)
+            probe.is_subset_of(bigger)
         });
         if contained {
             continue;
@@ -561,10 +553,6 @@ struct Ctx<'a> {
     mode: MiningMode,
     /// Whether the packed kernels are active (`scratch.adj` is populated).
     bits_on: bool,
-    /// Kernel backend resolved at pack time ([`KernelBackend::Scalar`]
-    /// unless the run requested [`Representation::Simd`] on a capable
-    /// build + CPU).
-    backend: KernelBackend,
     /// Reusable buffers (stamps, coverage bitmap, work list, bitsets).
     s: &'a mut EngineScratch,
     /// Emitted local sets, each sorted (maximal / top-k modes).
@@ -616,7 +604,6 @@ enum Reduction {
 }
 
 impl<'a> Ctx<'a> {
-    #[allow(clippy::too_many_arguments)]
     fn new(
         g: &'a CsrGraph,
         cfg: QcConfig,
@@ -624,7 +611,6 @@ impl<'a> Ctx<'a> {
         order: SearchOrder,
         mode: MiningMode,
         bits_on: bool,
-        backend: KernelBackend,
         scratch: &'a mut EngineScratch,
     ) -> Self {
         let n = g.num_vertices();
@@ -635,7 +621,6 @@ impl<'a> Ctx<'a> {
             order,
             mode,
             bits_on,
-            backend,
             s: scratch,
             emitted: Vec::new(),
             remaining: n,
@@ -1455,7 +1440,7 @@ impl<'a> Ctx<'a> {
         let ra = self.s.adj.row_active(v);
         let list = if ra.len() <= active.len() { ra } else { active };
         *gathered += list.len();
-        gather_intersect_popcount_with(self.backend, self.s.adj.row(v), set_words, list) as u32
+        gather_intersect_popcount(self.s.adj.row(v), set_words, list) as u32
     }
 
     /// Packs/stamps the candidate set of `node` for the per-vertex exdeg
@@ -1977,7 +1962,7 @@ mod tests {
         let n = g.num_vertices();
         let mut stats = SearchStats::default();
         assert_eq!(
-            containment_filter(input.clone(), n, KernelBackend::Scalar, &mut stats),
+            containment_filter(input.clone(), n, &mut stats),
             containment_filter_naive(input)
         );
     }
@@ -1994,7 +1979,7 @@ mod tests {
             let n = 70;
             let mut stats = SearchStats::default();
             assert_eq!(
-                containment_filter(sets.clone(), n, KernelBackend::Scalar, &mut stats),
+                containment_filter(sets.clone(), n, &mut stats),
                 containment_filter_naive(sets.clone()),
                 "{sets:?}"
             );

@@ -65,8 +65,6 @@ fn figure1_probe_counts_are_pinned() {
     for (repr, expect) in [
         (Representation::Slice, &slice_expect),
         (Representation::Bitset, &bitset_expect),
-        // Simd must be counter-for-counter identical to Bitset.
-        (Representation::Simd, &bitset_expect),
     ] {
         let m = Miner::new(g.graph(), cfg).with_repr(repr);
         for (mode, stats) in [

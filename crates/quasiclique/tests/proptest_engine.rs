@@ -110,15 +110,11 @@ proptest! {
         prop_assert_eq!(cov, cov_base);
     }
 
-    /// End-to-end three-way differential: the sorted-slice, scalar-bitset
-    /// and SIMD-bitset engines must emit identical `MiningOutcome`s —
-    /// same cliques, same coverage, same search tree (all semantic
-    /// counters equal; only the modeled kernel costs may differ between
-    /// slice and bitset) — in every mode, for every flag combination.
-    /// The two bitset backends must additionally agree on *every*
-    /// counter: the word-count work model is backend-independent. On a
-    /// build without the `simd` feature the third leg degenerates to
-    /// scalar-vs-scalar, so the test runs (and must pass) either way.
+    /// End-to-end two-way differential: the sorted-slice and bitset
+    /// engines must emit identical `MiningOutcome`s — same cliques, same
+    /// coverage, same search tree (all semantic counters equal; only the
+    /// modeled kernel costs may differ) — in every mode, for every flag
+    /// combination.
     #[test]
     fn bitset_and_slice_outcomes_are_identical(g in small_graph(), cfg in qc_params(),
                                                bits in 0u32..128, k in 1usize..=4) {
@@ -133,13 +129,10 @@ proptest! {
         };
         let slice = Miner::new(&g, cfg).with_prune(flags).with_repr(Representation::Slice);
         let packed = Miner::new(&g, cfg).with_prune(flags).with_repr(Representation::Bitset);
-        let simd = Miner::new(&g, cfg).with_prune(flags).with_repr(Representation::Simd);
 
-        let (s, p, v) = (slice.enumerate_maximal(), packed.enumerate_maximal(), simd.enumerate_maximal());
+        let (s, p) = (slice.enumerate_maximal(), packed.enumerate_maximal());
         prop_assert_eq!(&s.cliques, &p.cliques, "maximal, flags {:?}", flags);
         prop_assert_eq!(s.stats.semantic(), p.stats.semantic(), "maximal stats, flags {:?}", flags);
-        prop_assert_eq!(&v.cliques, &p.cliques, "simd maximal, flags {:?}", flags);
-        prop_assert_eq!(v.stats, p.stats, "simd maximal stats, flags {:?}", flags);
         // Fused-kernel counters: the engine's hot loops report them only
         // on the bitset path; the (representation-independent) packed
         // containment filter contributes equally to both. Hence the
@@ -160,11 +153,9 @@ proptest! {
             p.stats.batch_ops, p.stats.kernel_ops, flags
         );
 
-        let (s, p, v) = (slice.coverage(), packed.coverage(), simd.coverage());
+        let (s, p) = (slice.coverage(), packed.coverage());
         prop_assert_eq!(&s.covered, &p.covered, "coverage, flags {:?}", flags);
         prop_assert_eq!(s.stats.semantic(), p.stats.semantic(), "coverage stats, flags {:?}", flags);
-        prop_assert_eq!(&v.covered, &p.covered, "simd coverage, flags {:?}", flags);
-        prop_assert_eq!(v.stats, p.stats, "simd coverage stats, flags {:?}", flags);
         // Coverage mode never runs the containment filter, so the slice
         // path must report no fused-kernel work at all there.
         prop_assert_eq!(s.stats.fused_ops, 0, "slice coverage fused_ops, flags {:?}", flags);
@@ -172,11 +163,9 @@ proptest! {
         prop_assert_eq!(s.stats.probes_elided, 0, "slice coverage probes_elided, flags {:?}", flags);
         prop_assert_eq!(s.stats.batch_ops, 0, "slice coverage batch_ops, flags {:?}", flags);
 
-        let (s, p, v) = (slice.top_k(k), packed.top_k(k), simd.top_k(k));
+        let (s, p) = (slice.top_k(k), packed.top_k(k));
         prop_assert_eq!(&s.cliques, &p.cliques, "top-{}, flags {:?}", k, flags);
         prop_assert_eq!(s.stats.semantic(), p.stats.semantic(), "top-k stats, flags {:?}", flags);
-        prop_assert_eq!(&v.cliques, &p.cliques, "simd top-{}, flags {:?}", k, flags);
-        prop_assert_eq!(v.stats, p.stats, "simd top-k stats, flags {:?}", flags);
         prop_assert!(
             s.stats.fused_ops <= p.stats.fused_ops,
             "top-k fused_ops slice {} > bitset {}, flags {:?}",

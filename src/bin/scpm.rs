@@ -11,7 +11,7 @@
 //!                [--sigma-min N] [--gamma F] [--min-size N]
 //!                [--eps-min F] [--delta-min F] [--top-k N] [--order dfs|bfs]
 //!                [--min-attrs N] [--max-attrs N] [--threads N] [--split-depth N]
-//!                [--algo scpm|levelwise|scorp|naive] [--repr bitset|slice|simd] [--limit N]
+//!                [--algo scpm|levelwise|scorp|naive] [--repr bitset|slice] [--limit N]
 //!                [--json] [--mmap] [--memory-budget BYTES]
 //! scpm update    --graph g.txt | --snapshot g.snap --delta d.txt
 //!                [--out g2.snap] [--json] [+ the mine thresholds]
@@ -114,7 +114,7 @@ const USAGE: &str = "usage:
                  [--sigma-min N] [--gamma F] [--min-size N]
                  [--eps-min F] [--delta-min F] [--top-k N] [--order dfs|bfs]
                  [--min-attrs N] [--max-attrs N] [--threads N] [--split-depth N]
-                 [--algo scpm|levelwise|scorp|naive] [--repr bitset|slice|simd] [--limit N]
+                 [--algo scpm|levelwise|scorp|naive] [--repr bitset|slice] [--limit N]
                  [--json] [--mmap] [--memory-budget BYTES]   (zero-copy out-of-core mine)
   scpm update    --graph <file> | --snapshot <file.snap> --delta <file>
                  [--out <file>[.snap]] [--json] [+ the mine thresholds]
@@ -341,20 +341,12 @@ fn params_from(flags: &Flags) -> Result<ScpmParams, String> {
         "bfs" => SearchOrder::Bfs,
         other => return Err(format!("invalid --order `{other}` (want dfs|bfs)")),
     };
-    // Hot-loop representation A/B switch (docs/PERFORMANCE.md): results
-    // are identical, only kernel costs differ.
+    // Hot-loop representation (docs/PERFORMANCE.md): results are
+    // identical, only kernel costs differ.
     let repr = match flags.str("repr").unwrap_or("bitset") {
         "bitset" => Representation::Bitset,
         "slice" => Representation::Slice,
-        // `simd` is only honored when the kernels were compiled in;
-        // silently degrading to scalar would make perf A/B runs lie.
-        "simd" if scpm_graph::bitadj::simd_compiled() => Representation::Simd,
-        "simd" => {
-            return Err("--repr simd requires a build with the `simd` feature \
-                 (rebuild with `cargo build --features simd`)"
-                .into())
-        }
-        other => return Err(format!("invalid --repr `{other}` (want bitset|slice|simd)")),
+        other => return Err(format!("invalid --repr `{other}` (want bitset|slice)")),
     };
     // Validate up front: QcConfig panics on out-of-range values, and a
     // CLI should fail with exit 1, not a panic.

@@ -1,15 +1,10 @@
-//! Three-way backend differential at the full-pipeline level: the
-//! sorted-slice, scalar-bitset and SIMD-bitset representations must
-//! produce byte-identical catalogs and identical counters under every
-//! thread count. Complements the engine-level proptest
+//! Two-way representation differential at the full-pipeline level: the
+//! sorted-slice and bitset representations must produce byte-identical
+//! catalogs and identical semantic counters under every thread count.
+//! Complements the engine-level proptest
 //! (`crates/quasiclique/tests/proptest_engine.rs`) by exercising the
 //! parallel driver, the per-attribute-set reduction and the counter
 //! plumbing through `ScpmStats::merge`.
-//!
-//! On a build without the `simd` feature, `Representation::Simd` is the
-//! scalar bitset path by construction; the test runs (and must pass)
-//! under both feature configurations — CI's feature-matrix job does
-//! exactly that.
 
 use scpm_core::{run_parallel_with, ParallelConfig, Scpm, ScpmParams, ScpmResult, ScpmStats};
 use scpm_datasets::dblp_like;
@@ -30,7 +25,7 @@ fn counters(r: &ScpmResult) -> ScpmStats {
 }
 
 fn sweep(g: &AttributedGraph, params: ScpmParams) {
-    // The scalar bitset path is the reference everything else must hit.
+    // The serial bitset path is the reference everything else must hit.
     let reference = Scpm::new(g, params.clone().with_repr(Representation::Bitset)).run();
     let ref_print = fingerprint(&reference);
     let ref_stats = counters(&reference);
@@ -43,11 +38,7 @@ fn sweep(g: &AttributedGraph, params: ScpmParams) {
     for threads in [1usize, 2, 4] {
         let config = ParallelConfig::new(threads);
         let mut per_repr: Vec<(Representation, ScpmStats)> = Vec::new();
-        for repr in [
-            Representation::Slice,
-            Representation::Bitset,
-            Representation::Simd,
-        ] {
+        for repr in [Representation::Slice, Representation::Bitset] {
             let run = run_parallel_with(g, params.clone().with_repr(repr), &config);
             assert_eq!(
                 fingerprint(&run),
@@ -68,12 +59,10 @@ fn sweep(g: &AttributedGraph, params: ScpmParams) {
         // The batched promotion kernels exist only on the bitset path.
         assert_eq!(slice.qc_probes_elided, 0, "slice elided probes");
         assert_eq!(slice.qc_batch_ops, 0, "slice ran batched sweeps");
-        // Scalar-bitset and SIMD-bitset agree on *every* counter — the
-        // word-count work model is backend-independent — and on every
-        // thread count the totals equal the serial reference (u64 sums
-        // commute across the merge order).
+        // On every thread count the bitset totals equal the serial
+        // reference on *every* counter (u64 sums commute across the merge
+        // order).
         assert_eq!(per_repr[1].1, ref_stats, "bitset at {threads} threads");
-        assert_eq!(per_repr[2].1, ref_stats, "simd at {threads} threads");
     }
 }
 

@@ -1,13 +1,13 @@
 //! Top-k consistency (§3.2.3) and parallel-driver equivalence on dataset
-//! graphs: the work-stealing scheduler, the branch-level baseline, and the
-//! shared null-model cache must all be invisible in the output.
+//! graphs: the work-stealing scheduler (at every split depth) and the
+//! shared null-model cache must both be invisible in the output.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use scpm_core::{
-    run_naive, run_parallel, run_parallel_branch_level, run_parallel_with, AnalyticalModel,
-    NullModelCache, ParallelConfig, Scpm, ScpmParams, ScpmResult, DEFAULT_SPLIT_DEPTH,
+    run_naive, run_parallel, run_parallel_with, AnalyticalModel, NullModelCache, ParallelConfig,
+    Scpm, ScpmParams, ScpmResult, DEFAULT_SPLIT_DEPTH,
 };
 use scpm_datasets::{dblp_like, lastfm_like};
 use scpm_graph::generators::erdos_renyi::gnm;
@@ -141,9 +141,6 @@ fn determinism_sweep_on_planted_partition_graph() {
             );
         }
     }
-    // The retained branch-level baseline is a third independent driver.
-    let legacy = run_parallel_branch_level(g, params.clone(), 4);
-    assert_eq!(fingerprint(&legacy), reference, "branch-level baseline");
 }
 
 proptest! {
