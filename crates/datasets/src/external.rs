@@ -8,17 +8,18 @@
 //! That is the right call for datasets that fit; it is the wrong call for
 //! the paper-scale networks the out-of-core CI job exercises. This module
 //! reproduces the normalization **byte-for-byte** (the differential tests
-//! and the `out-of-core` CI job enforce it) with a classic two-pass
-//! external-sort plan:
+//! and the `out-of-core` CI job enforce it) with a classic external-sort
+//! plan that parses the source text exactly once:
 //!
-//! 1. **Pass 1 — survey.** Stream-parse every source file through
-//!    [`StreamingSource`], discarding records: this builds the vertex and
-//!    attribute interners, the structural marks, and the self-loop count in
-//!    `O(V + A)` memory. The id policy, relabeling map, attribute
-//!    canonicalization order, and vertex count `n` all fall out here.
-//! 2. **Pass 2 — spill.** Re-parse the same files (interning is
-//!    first-appearance-deterministic, so ids reproduce exactly), relabel
-//!    each record immediately, and push it into a `RunSpiller`: a
+//! 1. **Pass 1 — survey.** Stream-parse every source file through one
+//!    [`StreamingSource`]: this builds the vertex and attribute interners,
+//!    the structural marks, and the self-loop count in `O(V + A)` memory,
+//!    and writes each interned record as a little-endian `(u32, u32)` to a
+//!    raw id log in the scratch directory (one log for edges, one for
+//!    pairs). The id policy, relabeling map, attribute canonicalization
+//!    order, and vertex count `n` all fall out here.
+//! 2. **Pass 2 — spill.** Stream the logs back (deleting each once read),
+//!    relabel each record, and push it into a `RunSpiller`: a
 //!    fixed-capacity buffer that sorts, dedups and spills to a temporary
 //!    run file every time it fills. Each undirected edge is pushed as
 //!    *both* directed copies, so the merged `(src, dst)` stream is exactly
@@ -39,6 +40,8 @@
 //! offset arrays and structural marks are `O(V + A)` and deliberately stay
 //! in memory: they are the same order as (and in practice smaller than)
 //! the token tables any correct normalizer must hold to relabel at all.
+//! Temp disk holds the raw logs (8 bytes per edge and per pair, until pass
+//! 2 ends) and then the runs and payloads.
 
 use std::collections::BinaryHeap;
 use std::fs::File;
@@ -62,8 +65,10 @@ pub struct ExternalOptions {
     /// produce more runs and more merge passes, never wrong answers; the
     /// floor is a few pages so degenerate budgets still make progress.
     pub memory_budget: usize,
-    /// Where to put spill runs and section temp files. Defaults to a
-    /// scratch directory next to the output snapshot.
+    /// Where to put the scratch directory `<out file name>.oocore-tmp`
+    /// that holds raw id logs, spill runs and section temp files. Defaults
+    /// to the output snapshot's directory. The scratch directory is removed
+    /// when the ingest ends, on success and on every error.
     pub temp_dir: Option<PathBuf>,
 }
 
@@ -84,8 +89,8 @@ const MIN_BUFFER_RECORDS: usize = 4096;
 /// passes so the merge's own buffers stay bounded.
 const MAX_FANIN: usize = 64;
 
-/// Per-run read-buffer size during merges.
-const RUN_READ_BUF: usize = 64 << 10;
+/// Buffer size of each record reader and writer (runs, logs, payloads).
+const RECORD_IO_BUF: usize = 64 << 10;
 
 /// Ingests on-disk files straight into a v3 snapshot at `out`, holding at
 /// most `ext.memory_budget` bytes of record buffers. The snapshot is
@@ -110,122 +115,115 @@ pub fn ingest_files_external(
         return Ok(ingested.report);
     }
     let label = label_of(structure);
+    let scratch = ext
+        .temp_dir
+        .as_deref()
+        .unwrap_or_else(|| out.parent().unwrap_or(Path::new(".")))
+        .join(format!(
+            "{}.oocore-tmp",
+            out.file_name().and_then(|s| s.to_str()).unwrap_or("snap")
+        ));
+    std::fs::create_dir_all(&scratch)?;
+    let result: Result<IngestReport, IngestError> = (|| {
+        // ---- Pass 1: the one parse. Interners, structural marks and
+        // self-loops stay in memory; the interned records go to raw logs. ----
+        let mut survey = StreamingSource::new();
+        let edge_log = scratch.join("edges.log");
+        let mut log = RecordWriter::create(&edge_log)?;
+        parse_structure(format, structure, &mut survey, &mut |e| {
+            log.push(e).map_err(ParseError::Io)
+        })?;
+        log.finish()?;
+        let pair_log = scratch.join("pairs.log");
+        let mut log = RecordWriter::create(&pair_log)?;
+        if let Some(attrs) = attrs {
+            let file = File::open(attrs)?;
+            survey.read_attr_table(file, &mut |p| log.push(p).map_err(ParseError::Io))?;
+        }
+        log.finish()?;
 
-    // ---- Pass 1: survey (interners, structural marks, self-loops). ----
-    let mut survey = StreamingSource::new();
-    let mut sink = |_rec: (u32, u32)| Ok(());
-    parse_structure(format, structure, &mut survey, &mut sink)?;
-    if let Some(attrs) = attrs {
-        let file = File::open(attrs)?;
-        survey.read_attr_table(file, &mut |_p| Ok(()))?;
-    }
-
-    if survey.self_loops > 0 && opts.self_loops == SelfLoopPolicy::Error {
-        return Err(IngestError::SelfLoops {
-            count: survey.self_loops,
-        });
-    }
-    let attr_only = (0..survey.vertices.len() as u32)
-        .filter(|&v| !survey.is_structural(v))
-        .count();
-    if opts.unknown_vertices == UnknownVertexPolicy::Error {
-        if let Some(v) = (0..survey.vertices.len() as u32).find(|&v| !survey.is_structural(v)) {
-            return Err(IngestError::UnknownVertex {
-                token: survey.vertices.name(v).to_string(),
+        if survey.self_loops > 0 && opts.self_loops == SelfLoopPolicy::Error {
+            return Err(IngestError::SelfLoops {
+                count: survey.self_loops,
             });
         }
-    }
+        let attr_only = (0..survey.vertices.len() as u32)
+            .filter(|&v| !survey.is_structural(v))
+            .count();
+        if opts.unknown_vertices == UnknownVertexPolicy::Error {
+            if let Some(v) = (0..survey.vertices.len() as u32).find(|&v| !survey.is_structural(v)) {
+                return Err(IngestError::UnknownVertex {
+                    token: survey.vertices.name(v).to_string(),
+                });
+            }
+        }
 
-    // Vertex relabeling decision — the same rules as `ingest_source`.
-    let distinct = survey.vertices.len();
-    let numeric_ok = survey.vertices.all_numeric();
-    let dense_enough = (survey.vertices.max_numeric() as usize) < 2 * distinct + 1024;
-    let use_numeric = match opts.id_policy {
-        IdPolicy::Intern => false,
-        IdPolicy::Auto => distinct > 0 && numeric_ok && dense_enough,
-        IdPolicy::Numeric => {
-            if let Some(bad) = survey
+        // Vertex relabeling decision — the same rules as `ingest_source`.
+        let distinct = survey.vertices.len();
+        let numeric_ok = survey.vertices.all_numeric();
+        let dense_enough = (survey.vertices.max_numeric() as usize) < 2 * distinct + 1024;
+        let use_numeric = match opts.id_policy {
+            IdPolicy::Intern => false,
+            IdPolicy::Auto => distinct > 0 && numeric_ok && dense_enough,
+            IdPolicy::Numeric => {
+                if let Some(bad) = survey
+                    .vertices
+                    .names()
+                    .iter()
+                    .find(|t| canonical_numeric(t).is_none())
+                {
+                    return Err(IngestError::NonNumericId { token: bad.clone() });
+                }
+                true
+            }
+        };
+        let (vertex_map, n): (Option<Vec<u32>>, usize) = if use_numeric {
+            let map: Vec<u32> = survey
                 .vertices
                 .names()
                 .iter()
-                .find(|t| canonical_numeric(t).is_none())
-            {
-                return Err(IngestError::NonNumericId { token: bad.clone() });
-            }
-            true
-        }
-    };
-    let (vertex_map, n): (Option<Vec<u32>>, usize) = if use_numeric {
-        let map: Vec<u32> = survey
-            .vertices
-            .names()
-            .iter()
-            .map(|t| canonical_numeric(t).expect("checked numeric"))
-            .collect();
-        let n = if distinct == 0 {
-            0
+                .map(|t| canonical_numeric(t).expect("checked numeric"))
+                .collect();
+            let n = if distinct == 0 {
+                0
+            } else {
+                survey.vertices.max_numeric() as usize + 1
+            };
+            (Some(map), n)
         } else {
-            survey.vertices.max_numeric() as usize + 1
+            (None, distinct)
         };
-        (Some(map), n)
-    } else {
-        (None, distinct)
-    };
 
-    // Attribute canonicalization (lexicographic by name), as in
-    // `ingest_source`: every interned attribute has support ≥ 1, so none
-    // are dropped.
-    let num_attrs = survey.attributes.len();
-    let mut attr_order: Vec<u32> = (0..num_attrs as u32).collect();
-    if opts.canonical_attrs {
-        attr_order.sort_by(|&a, &b| survey.attributes.name(a).cmp(survey.attributes.name(b)));
-    }
-    let mut attr_map = vec![0u32; num_attrs];
-    for (new, &old) in attr_order.iter().enumerate() {
-        attr_map[old as usize] = new as u32;
-    }
-
-    // ---- Pass 2: relabel + spill sorted runs. ----
-    let scratch = match &ext.temp_dir {
-        Some(d) => d.clone(),
-        None => {
-            let parent = out.parent().unwrap_or(Path::new("."));
-            parent.join(format!(
-                "{}.oocore-tmp",
-                out.file_name().and_then(|s| s.to_str()).unwrap_or("snap")
-            ))
+        // Attribute canonicalization (lexicographic by name), as in
+        // `ingest_source`: every interned attribute has support ≥ 1, so none
+        // are dropped.
+        let num_attrs = survey.attributes.len();
+        let mut attr_order: Vec<u32> = (0..num_attrs as u32).collect();
+        if opts.canonical_attrs {
+            attr_order.sort_by(|&a, &b| survey.attributes.name(a).cmp(survey.attributes.name(b)));
         }
-    };
-    std::fs::create_dir_all(&scratch)?;
-    let result: Result<IngestReport, IngestError> = (|| {
+        let mut attr_map = vec![0u32; num_attrs];
+        for (new, &old) in attr_order.iter().enumerate() {
+            attr_map[old as usize] = new as u32;
+        }
+
+        // ---- Pass 2: stream the logs back, relabel, spill sorted runs. ----
         let cap = (ext.memory_budget / 2 / 8).max(MIN_BUFFER_RECORDS);
         let relabel = |v: u32| -> u32 { vertex_map.as_ref().map_or(v, |m| m[v as usize]) };
 
         let mut edge_runs = RunSpiller::new(&scratch, "edges", cap)?;
         let mut pair_runs = RunSpiller::new(&scratch, "pairs-va", cap / 2)?;
         let mut inv_runs = RunSpiller::new(&scratch, "pairs-av", cap / 2)?;
-
-        let mut replay = StreamingSource::new();
-        {
-            let mut edge_sink = |(u, v): (u32, u32)| {
-                let (u, v) = (relabel(u), relabel(v));
-                edge_runs.push((u, v)).map_err(ParseError::Io)?;
-                edge_runs.push((v, u)).map_err(ParseError::Io)?;
-                Ok(())
-            };
-            parse_structure(format, structure, &mut replay, &mut edge_sink)?;
-        }
-        if let Some(attrs) = attrs {
-            let file = File::open(attrs)?;
-            replay.read_attr_table(file, &mut |(v, a)| {
-                let rec = (relabel(v), attr_map[a as usize]);
-                pair_runs.push(rec).map_err(ParseError::Io)?;
-                inv_runs.push((rec.1, rec.0)).map_err(ParseError::Io)?;
-                Ok(())
-            })?;
-        }
-        let self_loops = replay.self_loops;
-        debug_assert_eq!(self_loops, survey.self_loops);
+        drain_log(&edge_log, |(u, v)| {
+            let (u, v) = (relabel(u), relabel(v));
+            edge_runs.push((u, v))?;
+            edge_runs.push((v, u))
+        })?;
+        drain_log(&pair_log, |(v, a)| {
+            let rec = (relabel(v), attr_map[a as usize]);
+            pair_runs.push(rec)?;
+            inv_runs.push((rec.1, rec.0))
+        })?;
 
         // ---- Merge each run set into its section payload temp files. ----
         // Edges: grouped by source vertex, the dedup'd `(src, dst)` stream
@@ -329,7 +327,7 @@ pub fn ingest_files_external(
             numeric_ids: use_numeric,
             top_attributes: rows,
             parse: Some(ParseCounters {
-                self_loops_dropped: self_loops,
+                self_loops_dropped: survey.self_loops,
                 duplicate_edges_merged: duplicate_edges,
                 duplicate_pairs_merged: duplicate_pairs,
                 attr_only_vertices: attr_only,
@@ -415,12 +413,11 @@ impl RunSpiller {
         let path = self
             .dir
             .join(format!("{}.run{:04}", self.prefix, self.runs.len()));
-        let mut w = BufWriter::new(File::create(&path)?);
-        for &(x, y) in &self.buf {
-            w.write_all(&x.to_le_bytes())?;
-            w.write_all(&y.to_le_bytes())?;
+        let mut w = RecordWriter::create(&path)?;
+        for &rec in &self.buf {
+            w.push(rec)?;
         }
-        w.flush()?;
+        w.finish()?;
         self.runs.push(path);
         self.buf.clear();
         Ok(())
@@ -432,7 +429,46 @@ impl RunSpiller {
     }
 }
 
-/// Buffered reader over one sorted run.
+/// Buffered writer of little-endian `(u32, u32)` records: the format of
+/// spill runs, intermediate merges and pass 1's raw id logs.
+struct RecordWriter(BufWriter<File>);
+
+impl RecordWriter {
+    fn create(path: &Path) -> std::io::Result<RecordWriter> {
+        Ok(RecordWriter(BufWriter::with_capacity(
+            RECORD_IO_BUF,
+            File::create(path)?,
+        )))
+    }
+
+    fn push(&mut self, (x, y): (u32, u32)) -> std::io::Result<()> {
+        let mut rec = [0u8; 8];
+        rec[..4].copy_from_slice(&x.to_le_bytes());
+        rec[4..].copy_from_slice(&y.to_le_bytes());
+        self.0.write_all(&rec)
+    }
+
+    fn finish(mut self) -> std::io::Result<()> {
+        self.0.flush()
+    }
+}
+
+/// Streams every record of a raw id log through `f` in order, then
+/// deletes the log.
+fn drain_log(
+    path: &Path,
+    mut f: impl FnMut((u32, u32)) -> std::io::Result<()>,
+) -> std::io::Result<()> {
+    let mut r = RunReader::open(path)?;
+    while let Some(rec) = r.head {
+        f(rec)?;
+        r.advance()?;
+    }
+    drop(r);
+    std::fs::remove_file(path)
+}
+
+/// Buffered reader over one record file (a sorted run or a raw id log).
 struct RunReader {
     r: BufReader<File>,
     head: Option<(u32, u32)>,
@@ -441,7 +477,7 @@ struct RunReader {
 impl RunReader {
     fn open(path: &Path) -> std::io::Result<RunReader> {
         let mut rr = RunReader {
-            r: BufReader::with_capacity(RUN_READ_BUF, File::open(path)?),
+            r: BufReader::with_capacity(RECORD_IO_BUF, File::open(path)?),
             head: None,
         };
         rr.advance()?;
@@ -476,12 +512,9 @@ fn merge_runs(
         let batch: Vec<PathBuf> = runs.drain(..MAX_FANIN).collect();
         gen += 1;
         let merged = scratch.join(format!("{prefix}.merge{gen:04}"));
-        let mut w = BufWriter::new(File::create(&merged)?);
-        merge_batch(&batch, |(x, y)| {
-            w.write_all(&x.to_le_bytes())?;
-            w.write_all(&y.to_le_bytes())
-        })?;
-        w.flush()?;
+        let mut w = RecordWriter::create(&merged)?;
+        merge_batch(&batch, |rec| w.push(rec))?;
+        w.finish()?;
         for p in &batch {
             std::fs::remove_file(p).ok();
         }
@@ -627,7 +660,7 @@ fn write_u64s(f: &mut impl Write, h: &mut Fnv1a64, values: &[u64]) -> std::io::R
 }
 
 fn copy_hashed(f: &mut impl Write, h: &mut Fnv1a64, path: &Path) -> std::io::Result<()> {
-    let mut r = BufReader::with_capacity(RUN_READ_BUF, File::open(path)?);
+    let mut r = BufReader::with_capacity(RECORD_IO_BUF, File::open(path)?);
     let mut buf = [0u8; 16384];
     loop {
         let k = r.read(&mut buf)?;
@@ -772,25 +805,97 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Every error the external path can return — the three policy
+    /// errors, a duplicate attribute row, an unterminated quote, invalid
+    /// UTF-8 — is the in-memory path's error, and leaves neither `out` nor
+    /// any scratch behind, with the default and with a custom `temp_dir`.
     #[test]
     fn policies_surface_the_same_errors() {
-        let dir = workdir("policies");
-        let edges = dir.join("g.txt");
-        std::fs::write(&edges, "0 0\n0 1\n").unwrap();
-        let opts = IngestOptions {
-            self_loops: SelfLoopPolicy::Error,
-            ..Default::default()
+        let strict = |f: fn(&mut IngestOptions)| {
+            let mut opts = IngestOptions::default();
+            f(&mut opts);
+            opts
         };
-        let e = ingest_files_external(
-            SourceFormat::EdgeList,
-            &edges,
-            None,
-            &opts,
-            &ExternalOptions::default(),
-            &dir.join("out.snap"),
-        );
-        assert!(matches!(e, Err(IngestError::SelfLoops { count: 1 })));
-        std::fs::remove_dir_all(&dir).ok();
+        let cases: [(&str, &[u8], &[u8], IngestOptions); 6] = [
+            (
+                "self-loop",
+                b"0 0\n0 1\n",
+                b"",
+                strict(|o| o.self_loops = SelfLoopPolicy::Error),
+            ),
+            (
+                "unknown-vertex",
+                b"0 1\n",
+                b"0 a\n5 b\n",
+                strict(|o| o.unknown_vertices = UnknownVertexPolicy::Error),
+            ),
+            (
+                "non-numeric",
+                b"0 1\n1 x\n",
+                b"",
+                strict(|o| o.id_policy = IdPolicy::Numeric),
+            ),
+            (
+                "duplicate-row",
+                b"0 1\n",
+                b"0 a\n1 b\n0 c\n",
+                IngestOptions::default(),
+            ),
+            (
+                "unterminated-quote",
+                b"0 1\n1 \"2\n",
+                b"",
+                IngestOptions::default(),
+            ),
+            (
+                "invalid-utf8",
+                b"0 1\n\xff 2\n",
+                b"",
+                IngestOptions::default(),
+            ),
+        ];
+        for (name, edges, attrs, opts) in cases {
+            let dir = workdir(&format!("errors-{name}"));
+            let edges_path = dir.join("g.txt");
+            std::fs::write(&edges_path, edges).unwrap();
+            let attrs_path = dir.join("g.attrs");
+            std::fs::write(&attrs_path, attrs).unwrap();
+            let attrs_path = (!attrs.is_empty()).then_some(attrs_path.as_path());
+            let want = ingest_files(SourceFormat::EdgeList, &edges_path, attrs_path, &opts)
+                .map(|_| ())
+                .unwrap_err()
+                .to_string();
+
+            let temp = dir.join("custom-temp");
+            for temp_dir in [None, Some(temp.clone())] {
+                let out = dir.join("out.snap");
+                let got = ingest_files_external(
+                    SourceFormat::EdgeList,
+                    &edges_path,
+                    attrs_path,
+                    &opts,
+                    &ExternalOptions {
+                        memory_budget: 1,
+                        temp_dir: temp_dir.clone(),
+                    },
+                    &out,
+                )
+                .map(|_| ())
+                .unwrap_err()
+                .to_string();
+                assert_eq!(got, want, "{name}");
+                assert!(!out.exists(), "{name}: output left behind");
+                assert!(
+                    !dir.join("out.snap.oocore-tmp").exists(),
+                    "{name}: scratch left behind"
+                );
+                if temp_dir.is_some() {
+                    let left: Vec<_> = std::fs::read_dir(&temp).unwrap().collect();
+                    assert!(left.is_empty(), "{name}: {left:?} left in temp_dir");
+                }
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

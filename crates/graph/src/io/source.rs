@@ -9,11 +9,14 @@
 //! policy, statistics) lives one layer up, in `scpm_datasets::ingest`; the
 //! byte-level grammar of every format is specified in `docs/DATASETS.md`.
 //!
-//! All parsers share one tokenizer: lines are split into fields on
-//! whitespace and commas (so plain, TSV and CSV files all work), blank
-//! lines and lines starting with `#` or `%` are ignored, and fields may be
-//! double-quoted to carry separators (`"R Peppers"`; a doubled `""` is a
-//! literal quote). Errors carry 1-based line numbers.
+//! All parsers share one tokenizer: UTF-8 lines are split into fields on
+//! commas and Unicode whitespace (`char::is_whitespace`, so plain, TSV and
+//! CSV files all work), blank lines and lines starting with `#` or `%` are
+//! ignored, and fields may be double-quoted to carry separators
+//! (`"R Peppers"`; a doubled `""` is a literal quote). Errors carry 1-based
+//! line numbers. The tokenizer reuses its line and unescape buffers and
+//! hands each row to the readers as borrowed fields, so a row costs no
+//! heap allocation once the buffers have grown.
 //!
 //! ```
 //! use scpm_graph::io::source::RawSource;
@@ -185,10 +188,18 @@ impl RawSource {
             structural,
             ..
         } = self;
-        stream_edge_list_rows(vertices, structural, self_loops, reader, &mut |e| {
+        let mut push = |e| {
             edges.push(e);
             Ok(())
-        })
+        };
+        stream_edge_list_rows(
+            vertices,
+            structural,
+            self_loops,
+            reader,
+            &mut push,
+            for_each_row,
+        )
     }
 
     /// Reads an adjacency list: each line names a source vertex (an
@@ -204,10 +215,18 @@ impl RawSource {
             structural,
             ..
         } = self;
-        stream_adjacency_rows(vertices, structural, self_loops, reader, &mut |e| {
+        let mut push = |e| {
             edges.push(e);
             Ok(())
-        })
+        };
+        stream_adjacency_rows(
+            vertices,
+            structural,
+            self_loops,
+            reader,
+            &mut push,
+            for_each_row,
+        )
     }
 
     /// Reads a vertex→attribute table: each line is a vertex token
@@ -222,22 +241,20 @@ impl RawSource {
             pairs,
             ..
         } = self;
-        stream_attr_rows(vertices, attributes, reader, &mut |p| {
+        let mut push = |p| {
             pairs.push(p);
             Ok(())
-        })
+        };
+        stream_attr_rows(vertices, attributes, reader, &mut push, for_each_row)
     }
 }
 
 /// A callback-driven twin of [`RawSource`] that interns tokens and counts
 /// exactly like the buffering parsers but hands each edge / pair to a sink
 /// instead of accumulating it — the substrate of the bounded-memory
-/// external ingestion pass, which spills records to sorted runs on disk.
-///
-/// Re-reading the same files through a `StreamingSource` in the same order
-/// reproduces the interned ids bit-for-bit (interning is
-/// first-appearance-deterministic), which is what lets the external path's
-/// second pass relabel records without ever holding them all in memory.
+/// external ingestion pass, which logs the interned records to disk while
+/// it parses and relabels them from that log once the interners are
+/// complete, never holding them all in memory.
 ///
 /// ```
 /// use scpm_graph::io::source::StreamingSource;
@@ -287,6 +304,7 @@ impl StreamingSource {
             &mut self.self_loops,
             reader,
             emit,
+            for_each_row,
         )
     }
 
@@ -303,6 +321,7 @@ impl StreamingSource {
             &mut self.self_loops,
             reader,
             emit,
+            for_each_row,
         )
     }
 
@@ -314,7 +333,13 @@ impl StreamingSource {
         reader: R,
         emit: &mut dyn FnMut((u32, u32)) -> Result<(), ParseError>,
     ) -> Result<(), ParseError> {
-        stream_attr_rows(&mut self.vertices, &mut self.attributes, reader, emit)
+        stream_attr_rows(
+            &mut self.vertices,
+            &mut self.attributes,
+            reader,
+            emit,
+            for_each_row,
+        )
     }
 }
 
@@ -333,22 +358,20 @@ fn stream_edge_list_rows<R: Read>(
     self_loops: &mut usize,
     reader: R,
     emit: &mut dyn FnMut((u32, u32)) -> Result<(), ParseError>,
+    rows: Rows<R>,
 ) -> Result<(), ParseError> {
-    for_each_row(reader, |lineno, fields| {
-        if fields.len() < 2 {
+    rows(reader, &mut |lineno, row| {
+        if row.len() < 2 {
             return Err(syntax(lineno, "edge line needs two fields `u v`"));
         }
-        if fields.len() > 3 {
+        if row.len() > 3 {
             return Err(syntax(
                 lineno,
-                format!(
-                    "edge line has {} fields (max 3: `u v weight`)",
-                    fields.len()
-                ),
+                format!("edge line has {} fields (max 3: `u v weight`)", row.len()),
             ));
         }
-        let u = vertices.intern(&fields[0]);
-        let v = vertices.intern(&fields[1]);
+        let u = vertices.intern(row.field(0));
+        let v = vertices.intern(row.field(1));
         mark_structural(structural, u);
         mark_structural(structural, v);
         if u == v {
@@ -367,15 +390,17 @@ fn stream_adjacency_rows<R: Read>(
     self_loops: &mut usize,
     reader: R,
     emit: &mut dyn FnMut((u32, u32)) -> Result<(), ParseError>,
+    rows: Rows<R>,
 ) -> Result<(), ParseError> {
-    for_each_row(reader, |lineno, fields| {
-        let head = fields[0].strip_suffix(':').unwrap_or(&fields[0]);
+    rows(reader, &mut |lineno, row| {
+        let first = row.field(0);
+        let head = first.strip_suffix(':').unwrap_or(first);
         if head.is_empty() {
             return Err(syntax(lineno, "adjacency line has an empty source vertex"));
         }
         let u = vertices.intern(head);
         mark_structural(structural, u);
-        for tok in &fields[1..] {
+        for tok in row.tail() {
             let v = vertices.intern(tok);
             mark_structural(structural, v);
             if u == v {
@@ -389,26 +414,35 @@ fn stream_adjacency_rows<R: Read>(
 }
 
 /// Shared row loop behind both attribute-table readers. Duplicate-row
-/// detection is per call, matching the buffering reader.
+/// detection is per call, matching the buffering reader: `first_row[v]`
+/// is the line of vertex `v`'s row in this table (0 = none yet), dense
+/// because interned ids are.
 fn stream_attr_rows<R: Read>(
     vertices: &mut Interner,
     attributes: &mut Interner,
     reader: R,
     emit: &mut dyn FnMut((u32, u32)) -> Result<(), ParseError>,
+    rows: Rows<R>,
 ) -> Result<(), ParseError> {
-    let mut seen: HashMap<u32, usize> = HashMap::new();
-    for_each_row(reader, |lineno, fields| {
-        let v = vertices.intern(&fields[0]);
-        if let Some(first) = seen.insert(v, lineno) {
+    let mut first_row: Vec<usize> = Vec::new();
+    rows(reader, &mut |lineno, row| {
+        let v = vertices.intern(row.field(0));
+        let slot = v as usize;
+        if first_row.len() <= slot {
+            first_row.resize(slot + 1, 0);
+        }
+        if first_row[slot] != 0 {
             return Err(syntax(
                 lineno,
                 format!(
-                    "duplicate attribute row for vertex `{}` (first at line {first})",
-                    fields[0]
+                    "duplicate attribute row for vertex `{}` (first at line {})",
+                    row.field(0),
+                    first_row[slot]
                 ),
             ));
         }
-        for tok in &fields[1..] {
+        first_row[slot] = lineno;
+        for tok in row.tail() {
             let a = attributes.intern(tok);
             emit((v, a))?;
         }
@@ -416,46 +450,129 @@ fn stream_attr_rows<R: Read>(
     })
 }
 
-/// Splits one line into fields on whitespace/commas, honoring double
-/// quotes (`""` inside a quoted field is a literal quote).
-pub(crate) fn split_fields(line: &str, lineno: usize) -> Result<Vec<String>, ParseError> {
-    let mut fields = Vec::new();
-    let mut chars = line.chars().peekable();
-    loop {
-        // Skip separators.
-        while matches!(chars.peek(), Some(c) if c.is_whitespace() || *c == ',') {
-            chars.next();
-        }
-        let Some(&c) = chars.peek() else { break };
-        let mut field = String::new();
-        if c == '"' {
-            chars.next();
-            loop {
-                match chars.next() {
-                    Some('"') => {
-                        if chars.peek() == Some(&'"') {
-                            chars.next();
-                            field.push('"');
-                        } else {
-                            break;
-                        }
-                    }
-                    Some(ch) => field.push(ch),
-                    None => return Err(syntax(lineno, "unterminated quoted field")),
-                }
-            }
+/// Field separators among ASCII bytes: the ASCII code points for which
+/// `char::is_whitespace` holds (TAB, LF, VT, FF, CR, space) plus `,`.
+/// `u8::is_ascii_whitespace` is not this set: it omits VT (0x0B).
+const ASCII_SEPARATOR: [bool; 128] = {
+    let mut t = [false; 128];
+    t[b'\t' as usize] = true;
+    t[b'\n' as usize] = true;
+    t[0x0B] = true;
+    t[0x0C] = true;
+    t[b'\r' as usize] = true;
+    t[b' ' as usize] = true;
+    t[b',' as usize] = true;
+    t
+};
+
+/// The end of the run of chars starting at byte `i` of `line` that are
+/// separators (`sep`) or are not (`!sep`). A char separates fields when
+/// `char::is_whitespace(c) || c == ','`: ASCII is answered from
+/// [`ASCII_SEPARATOR`], anything else is decoded.
+#[inline]
+fn run_end(line: &str, mut i: usize, sep: bool) -> usize {
+    while let Some(&b) = line.as_bytes().get(i) {
+        let (is_sep, len) = if b.is_ascii() {
+            (ASCII_SEPARATOR[b as usize], 1)
         } else {
-            while let Some(&ch) = chars.peek() {
-                if ch.is_whitespace() || ch == ',' {
+            let c = line[i..].chars().next().expect("index on a char boundary");
+            (c.is_whitespace(), c.len_utf8())
+        };
+        if is_sep != sep {
+            break;
+        }
+        i += len;
+    }
+    i
+}
+
+/// Where one field's text lives: a byte range of the line itself, or —
+/// for a quoted field, whose `""` escapes must be undone — of the
+/// tokenizer's unescape buffer.
+#[derive(Clone, Copy)]
+struct Span {
+    quoted: bool,
+    start: usize,
+    end: usize,
+}
+
+/// One tokenized row, borrowing its fields from the line buffer and the
+/// unescape buffer. Never empty.
+struct Row<'a> {
+    line: &'a str,
+    unescaped: &'a str,
+    spans: &'a [Span],
+}
+
+impl<'a> Row<'a> {
+    fn len(&self) -> usize {
+        self.spans.len()
+    }
+
+    fn field(&self, i: usize) -> &'a str {
+        let s = self.spans[i];
+        let text = if s.quoted { self.unescaped } else { self.line };
+        &text[s.start..s.end]
+    }
+
+    /// Every field after the first.
+    fn tail(&self) -> impl Iterator<Item = &'a str> + '_ {
+        (1..self.len()).map(|i| self.field(i))
+    }
+}
+
+/// Splits `line` into `spans` on runs of separators, honoring double
+/// quotes (`""` inside a quoted field is a literal quote, unescaped into
+/// `unescaped`). A quote opens a quoted field only at the start of a
+/// field; elsewhere it is an ordinary character.
+fn split_row(
+    line: &str,
+    lineno: usize,
+    unescaped: &mut String,
+    spans: &mut Vec<Span>,
+) -> Result<(), ParseError> {
+    spans.clear();
+    unescaped.clear();
+    let bytes = line.as_bytes();
+    let mut i = 0;
+    loop {
+        i = run_end(line, i, true);
+        if i == bytes.len() {
+            return Ok(());
+        }
+        if bytes[i] == b'"' {
+            // `"` is ASCII, so it never occurs inside a multi-byte char and
+            // a byte search stays on char boundaries.
+            let start = unescaped.len();
+            i += 1;
+            loop {
+                let Some(q) = bytes[i..].iter().position(|&b| b == b'"') else {
+                    return Err(syntax(lineno, "unterminated quoted field"));
+                };
+                unescaped.push_str(&line[i..i + q]);
+                i += q + 1;
+                if bytes.get(i) == Some(&b'"') {
+                    unescaped.push('"');
+                    i += 1;
+                } else {
                     break;
                 }
-                field.push(ch);
-                chars.next();
             }
+            spans.push(Span {
+                quoted: true,
+                start,
+                end: unescaped.len(),
+            });
+        } else {
+            let start = i;
+            i = run_end(line, i, false);
+            spans.push(Span {
+                quoted: false,
+                start,
+                end: i,
+            });
         }
-        fields.push(field);
     }
-    Ok(fields)
 }
 
 /// Quotes `field` if it contains a separator or quote, else borrows it.
@@ -467,28 +584,64 @@ fn quoted(field: &str) -> std::borrow::Cow<'_, str> {
     }
 }
 
+/// A tokenizer driving a row callback over every row of a reader:
+/// [`for_each_row`], or the char-based oracle of the differential tests.
+type Rows<R> =
+    fn(R, &mut dyn FnMut(usize, &Row<'_>) -> Result<(), ParseError>) -> Result<(), ParseError>;
+
 /// Streams non-comment, non-blank rows of `reader` through `f` as
-/// `(lineno, fields)`. Rows that split to zero fields (all separators)
-/// are skipped like blank lines.
+/// `(lineno, row)`. Rows that split to zero fields (all separators) are
+/// skipped like blank lines.
+///
+/// Lines end at `\n`; a `\r` right before it is stripped too, exactly as
+/// `BufRead::lines` does (a `\r` anywhere else is a separator). Each line
+/// must be valid UTF-8 (`ErrorKind::InvalidData` otherwise). The line,
+/// unescape and span buffers are reused, so after warm-up a row costs no
+/// heap allocation.
 fn for_each_row<R: Read>(
     reader: R,
-    mut f: impl FnMut(usize, Vec<String>) -> Result<(), ParseError>,
+    f: &mut dyn FnMut(usize, &Row<'_>) -> Result<(), ParseError>,
 ) -> Result<(), ParseError> {
-    let reader = BufReader::new(reader);
-    for (idx, line) in reader.lines().enumerate() {
-        let lineno = idx + 1;
-        let line = line?;
+    let mut reader = BufReader::new(reader);
+    let mut buf = Vec::new();
+    let mut unescaped = String::new();
+    let mut spans = Vec::new();
+    let mut lineno = 0;
+    loop {
+        buf.clear();
+        if reader.read_until(b'\n', &mut buf)? == 0 {
+            return Ok(());
+        }
+        lineno += 1;
+        if buf.last() == Some(&b'\n') {
+            buf.pop();
+            if buf.last() == Some(&b'\r') {
+                buf.pop();
+            }
+        }
+        let line = std::str::from_utf8(&buf).map_err(|_| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                "stream did not contain valid UTF-8",
+            )
+        })?;
         let trimmed = line.trim_start();
-        if trimmed.is_empty() || trimmed.starts_with('#') || trimmed.starts_with('%') {
+        if trimmed.is_empty() || trimmed.starts_with(['#', '%']) {
             continue;
         }
-        let fields = split_fields(&line, lineno)?;
-        if fields.is_empty() {
+        split_row(line, lineno, &mut unescaped, &mut spans)?;
+        if spans.is_empty() {
             continue;
         }
-        f(lineno, fields)?;
+        f(
+            lineno,
+            &Row {
+                line,
+                unescaped: &unescaped,
+                spans: &spans,
+            },
+        )?;
     }
-    Ok(())
 }
 
 /// Writes `g`'s edges as an edge list (`u<TAB>v`, one edge per line, both
@@ -544,6 +697,237 @@ pub fn write_attr_table<W: Write>(g: &AttributedGraph, writer: W) -> std::io::Re
 mod tests {
     use super::*;
     use crate::figure1::figure1;
+    use proptest::prelude::*;
+
+    /// The char-at-a-time splitter the tokenizer replaced, kept as its
+    /// oracle: splits one line into fields on whitespace/commas, honoring
+    /// double quotes (`""` inside a quoted field is a literal quote).
+    fn split_fields(line: &str, lineno: usize) -> Result<Vec<String>, ParseError> {
+        let mut fields = Vec::new();
+        let mut chars = line.chars().peekable();
+        loop {
+            // Skip separators.
+            while matches!(chars.peek(), Some(c) if c.is_whitespace() || *c == ',') {
+                chars.next();
+            }
+            let Some(&c) = chars.peek() else { break };
+            let mut field = String::new();
+            if c == '"' {
+                chars.next();
+                loop {
+                    match chars.next() {
+                        Some('"') => {
+                            if chars.peek() == Some(&'"') {
+                                chars.next();
+                                field.push('"');
+                            } else {
+                                break;
+                            }
+                        }
+                        Some(ch) => field.push(ch),
+                        None => return Err(syntax(lineno, "unterminated quoted field")),
+                    }
+                }
+            } else {
+                while let Some(&ch) = chars.peek() {
+                    if ch.is_whitespace() || ch == ',' {
+                        break;
+                    }
+                    field.push(ch);
+                    chars.next();
+                }
+            }
+            fields.push(field);
+        }
+        Ok(fields)
+    }
+
+    /// The oracle tokenizer: `BufRead::lines` plus [`split_fields`], the
+    /// owned fields handed on as one all-quoted [`Row`].
+    fn oracle_rows<R: Read>(
+        reader: R,
+        f: &mut dyn FnMut(usize, &Row<'_>) -> Result<(), ParseError>,
+    ) -> Result<(), ParseError> {
+        for (idx, line) in BufReader::new(reader).lines().enumerate() {
+            let lineno = idx + 1;
+            let line = line?;
+            let trimmed = line.trim_start();
+            if trimmed.is_empty() || trimmed.starts_with('#') || trimmed.starts_with('%') {
+                continue;
+            }
+            let fields = split_fields(&line, lineno)?;
+            if fields.is_empty() {
+                continue;
+            }
+            let mut unescaped = String::new();
+            let mut spans = Vec::new();
+            for field in &fields {
+                let start = unescaped.len();
+                unescaped.push_str(field);
+                spans.push(Span {
+                    quoted: true,
+                    start,
+                    end: unescaped.len(),
+                });
+            }
+            let row = Row {
+                line: "",
+                unescaped: &unescaped,
+                spans: &spans,
+            };
+            f(lineno, &row)?;
+        }
+        Ok(())
+    }
+
+    /// Every row a tokenizer yields, or its error rendered.
+    fn collect_rows<'t>(
+        text: &'t [u8],
+        rows: Rows<&'t [u8]>,
+    ) -> Result<Vec<(usize, Vec<String>)>, String> {
+        let mut out = Vec::new();
+        rows(text, &mut |lineno, row| {
+            out.push((
+                lineno,
+                (0..row.len()).map(|i| row.field(i).to_string()).collect(),
+            ));
+            Ok(())
+        })
+        .map(|()| out)
+        .map_err(|e| e.to_string())
+    }
+
+    /// What one of the three readers makes of `text` under a tokenizer: the
+    /// interned tokens, the records, the counters and the result.
+    fn read_with<'t>(reader: usize, text: &'t [u8], rows: Rows<&'t [u8]>) -> String {
+        let mut st = StreamingSource::new();
+        let mut recs = Vec::new();
+        let mut push = |r| {
+            recs.push(r);
+            Ok(())
+        };
+        let StreamingSource {
+            vertices,
+            attributes,
+            self_loops,
+            structural,
+        } = &mut st;
+        let result = match reader {
+            0 => stream_edge_list_rows(vertices, structural, self_loops, text, &mut push, rows),
+            1 => stream_adjacency_rows(vertices, structural, self_loops, text, &mut push, rows),
+            _ => stream_attr_rows(vertices, attributes, text, &mut push, rows),
+        };
+        format!(
+            "{:?} {recs:?} {:?} {:?} {} {:?}",
+            result.map_err(|e| e.to_string()),
+            st.vertices.names(),
+            st.attributes.names(),
+            st.self_loops,
+            st.structural
+        )
+    }
+
+    /// Tokenizer alphabet: tokens, separators from every class the
+    /// grammar distinguishes (ASCII whitespace including VT/FF, CR, commas,
+    /// non-ASCII `White_Space`), quotes, and non-separator non-ASCII.
+    const ALPHABET: [&str; 22] = [
+        "a", "7", "07", "x:", ":", "\u{e9}", ",", "\"", "\"\"", " ", "\t", "\x0B", "\x0C", "\r",
+        "\u{85}", "\u{A0}", "\u{2003}", "\u{3000}", "#", "%", "b\"c", "q",
+    ];
+
+    /// Line openers, so comments sit behind leading Unicode whitespace.
+    const OPENERS: [&str; 7] = ["", "", "#", "%", "\u{A0}#", "\u{3000}%", " \u{85}#"];
+
+    /// Line terminators; the last line also draws "none" and a lone CR.
+    const ENDINGS: [&str; 4] = ["\n", "\r\n", "", "\r"];
+
+    fn text_strategy() -> impl Strategy<Value = String> {
+        let line = (
+            0..OPENERS.len(),
+            proptest::collection::vec(0..ALPHABET.len(), 0..10),
+            0usize..2,
+        );
+        (proptest::collection::vec(line, 0..8), 0..ENDINGS.len()).prop_map(|(lines, last)| {
+            let mut text = String::new();
+            let count = lines.len();
+            for (i, (opener, chars, ending)) in lines.into_iter().enumerate() {
+                text.push_str(OPENERS[opener]);
+                for c in chars {
+                    text.push_str(ALPHABET[c]);
+                }
+                text.push_str(ENDINGS[if i + 1 == count { last } else { ending }]);
+            }
+            text
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn tokenizer_matches_char_oracle(text in text_strategy()) {
+            let text = text.as_bytes();
+            prop_assert_eq!(
+                collect_rows(text, for_each_row),
+                collect_rows(text, oracle_rows),
+                "rows of {:?}", String::from_utf8_lossy(text)
+            );
+            for reader in 0..3 {
+                prop_assert_eq!(
+                    read_with(reader, text, for_each_row),
+                    read_with(reader, text, oracle_rows),
+                    "reader {} on {:?}", reader, String::from_utf8_lossy(text)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn line_endings_and_unicode_separators() {
+        let rows = |t: &str| collect_rows(t.as_bytes(), for_each_row).unwrap();
+        // CRLF is stripped; a lone CR (mid-line or before EOF) separates.
+        assert_eq!(rows("0 1\r\n"), vec![(1, vec!["0".into(), "1".into()])]);
+        assert_eq!(rows("0\r1\r"), vec![(1, vec!["0".into(), "1".into()])]);
+        // VT, FF, NEL, NBSP and U+3000 separate; `é` does not.
+        assert_eq!(
+            rows("a\x0Bb\x0Cc\u{85}d\u{A0}\u{e9}\u{3000}\"e f\"\n"),
+            vec![(
+                1,
+                ["a", "b", "c", "d", "\u{e9}", "e f"]
+                    .map(String::from)
+                    .to_vec()
+            )]
+        );
+        // A comment may sit behind leading Unicode whitespace, not a comma.
+        assert_eq!(
+            rows("\u{A0}# c\n,# d\n"),
+            vec![(2, vec!["#".into(), "d".into()])]
+        );
+        // Unterminated quotes report their own line.
+        assert_eq!(
+            collect_rows(b"0 1\n\n2 \"x\n", for_each_row),
+            Err("parse error at line 3: unterminated quoted field".to_string())
+        );
+    }
+
+    #[test]
+    fn invalid_utf8_is_invalid_data() {
+        for rows in [for_each_row as Rows<&[u8]>, oracle_rows] {
+            let mut seen = 0;
+            let e = rows(b"0 1\n\xff 2\n", &mut |_, _| {
+                seen += 1;
+                Ok(())
+            })
+            .unwrap_err();
+            assert_eq!(seen, 1, "the valid first line is still delivered");
+            match e {
+                ParseError::Io(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidData),
+                other => panic!("expected InvalidData, got {other}"),
+            }
+        }
+        let e = RawSource::new()
+            .read_edge_list(&b"0 1\n\xc3\x28 2\n"[..])
+            .unwrap_err();
+        assert!(matches!(e, ParseError::Io(ref e) if e.kind() == std::io::ErrorKind::InvalidData));
+    }
 
     #[test]
     fn edge_list_whitespace_and_csv_parse_identically() {
