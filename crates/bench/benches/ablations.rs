@@ -146,28 +146,6 @@ fn bench_scpm_theorem_ablation(c: &mut Criterion) {
     group.finish();
 }
 
-/// DFS prefix-class enumeration vs level-wise Apriori-style enumeration
-/// of the attribute lattice (identical output; different traversal and
-/// pruning opportunities).
-fn bench_lattice_traversal(c: &mut Criterion) {
-    let dataset = small_dblp_like(0.02, 77);
-    let g = &dataset.graph;
-    let params = ScpmParams::new(5, 0.5, 11)
-        .with_eps_min(0.1)
-        .with_delta_min(1.0)
-        .with_top_k(5)
-        .with_max_attrs(3);
-    let mut group = c.benchmark_group("attribute_lattice_traversal");
-    group.sample_size(10);
-    group.bench_function("dfs_prefix_class", |b| {
-        b.iter(|| Scpm::new(g, params.clone()).run())
-    });
-    group.bench_function("levelwise_apriori", |b| {
-        b.iter(|| Scpm::new(g, params.clone()).run_levelwise())
-    });
-    group.finish();
-}
-
 /// SCORP (complete enumeration, Theorem 4 only) vs SCPM (top-k + δ
 /// pruning) — the gap the VLDB'12 extensions buy over the MLG'10 system.
 fn bench_scorp_vs_scpm(c: &mut Criterion) {
@@ -339,7 +317,6 @@ criterion_group!(
     benches,
     bench_engine_prunings,
     bench_scpm_theorem_ablation,
-    bench_lattice_traversal,
     bench_scorp_vs_scpm,
     bench_representation_kernels,
     bench_fused_kernels

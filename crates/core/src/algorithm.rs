@@ -13,7 +13,6 @@ use std::time::Instant;
 use scpm_graph::attributed::{AttrId, AttributedGraph};
 use scpm_graph::csr::{intersect_into, VertexId};
 use scpm_itemset::Tidset;
-use scpm_quasiclique::{QuasiClique, SearchStats};
 
 use crate::correlation::CorrelationEngine;
 use crate::incremental::{EvalRecord, IncrementalCtx};
@@ -227,12 +226,20 @@ impl<'g> Scpm<'g> {
     /// (reusing the coverage subgraph), and returns an [`EnumEntry`] when
     /// the Theorem 4/5 gates allow extension.
     ///
-    /// `parents_stable` feeds the incremental replay gate: it must be true
-    /// only when every parent entry's cover is bit-identical to the
-    /// previous generation's (level 1 has no parents and passes `true`).
     /// Under an update context, a clean set with stable parents and a memo
-    /// record is replayed instead of searched — producing byte-identical
-    /// reports, patterns and counters (see [`crate::incremental`]).
+    /// record takes its cover, coverage counters and any cached top-k from
+    /// the record instead of searching (see [`crate::incremental`]).
+    /// `parents_stable` must be true only when every parent entry's cover
+    /// is bit-identical to the previous generation's (level 1 has no
+    /// parents and passes `true`). Replay is sound because a clean set's
+    /// `V(S)` and `G(S)` are unchanged, so ε and `K_S` are too, and stable
+    /// parents make the restricted mining set — and with it every search
+    /// counter — bit-identical. δ_lb and the Theorem-5 floor are always
+    /// recomputed against the current null model, so qualification may
+    /// flip even for a replayed set; one that turns qualified without a
+    /// cached top-k runs its top-k search live (the global-extraction
+    /// search is byte-equivalent to the projected one a full mine would
+    /// run).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn evaluate(
         &self,
@@ -244,138 +251,47 @@ impl<'g> Scpm<'g> {
         parents_stable: bool,
         result: &mut ScpmResult,
     ) -> Option<EnumEntry> {
-        let replayed = self
+        let support = tids.support();
+        let memo = self
             .incr
             .as_ref()
             .and_then(|ctx| ctx.replayable(&attrs, parents_stable).cloned());
-        if let Some(record) = replayed {
-            return self.replay(engine, attrs, tids, parent_cover, record, result);
-        }
-        let support = tids.support();
-        let outcome = engine.epsilon_projected(tids.as_slice(), parent_cover, parent_sub);
-        let sub_built = outcome.sub.is_some();
-        result.stats.attribute_sets_examined += 1;
-        result.stats.add_coverage(&outcome.stats);
-        let epsilon = outcome.epsilon;
-        let delta_lb = self.model.normalize(epsilon, support);
-        let qualified = epsilon >= self.params.eps_min && delta_lb >= self.params.delta_min;
-        let mut live_ops = outcome.stats.kernel_ops;
-        let mut topk: Option<(Vec<QuasiClique>, SearchStats)> = None;
-
-        if attrs.len() >= self.params.min_attrs {
-            result.reports.push(AttributeSetReport {
-                attrs: attrs.clone(),
-                support,
-                covered: outcome.covered.len(),
-                epsilon,
-                delta_lb,
-                qualified,
-            });
-            if qualified {
-                result.stats.attribute_sets_qualified += 1;
-                // The top-k search runs on the same mining set as the
-                // coverage search — reuse its subgraph verbatim.
-                if let Some(sub) = outcome.sub.as_deref() {
-                    let (cliques, tk_stats) = engine.top_k_on(sub, self.params.k);
-                    live_ops += tk_stats.kernel_ops;
-                    result.stats.add_topk(&tk_stats);
-                    for clique in &cliques {
-                        result.patterns.push(Pattern {
-                            attrs: attrs.clone(),
-                            clique: clique.clone(),
-                        });
-                    }
-                    topk = Some((cliques, tk_stats));
-                }
+        let replayed = memo.is_some();
+        // The only branch: the record (cover, ε, coverage counters, any
+        // cached top-k) comes from the memo or from a live coverage search,
+        // which also yields the mining subgraph. Everything below is shared.
+        let (mut record, sub) = match memo {
+            Some(record) => {
+                debug_assert_eq!(
+                    support, record.support,
+                    "replayed a set whose support changed — dirty-set bug"
+                );
+                (record, None)
             }
-        } else if qualified {
-            result.stats.attribute_sets_qualified += 1;
-        }
-
-        if let Some(ctx) = &self.incr {
-            ctx.count_live(live_ops);
-            ctx.store(
-                &attrs,
-                EvalRecord {
+            None => {
+                let o = engine.epsilon_projected(tids.as_slice(), parent_cover, parent_sub);
+                let record = EvalRecord {
                     support,
-                    epsilon,
-                    covered: outcome.covered.clone(),
-                    coverage_stats: outcome.stats,
-                    sub_built,
-                    topk,
-                },
-            );
-        }
-
-        // Extension gates (Theorems 4 and 5): `|K_S|` bounds `ε`/`δ` of any
-        // superset with support ≥ σmin.
-        if attrs.len() >= self.params.max_attrs {
-            return None;
-        }
-        let covered_count = outcome.covered.len() as f64;
-        let sigma_min = self.params.sigma_min as f64;
-        if self.params.prune.eps_pruning && covered_count < self.params.eps_min * sigma_min {
-            result.stats.pruned_eps_bound += 1;
-            return None;
-        }
-        if self.params.prune.delta_pruning {
-            let exp_floor = self.model.expected(self.params.sigma_min);
-            if covered_count < self.params.delta_min * exp_floor * sigma_min {
-                result.stats.pruned_delta_bound += 1;
-                return None;
+                    epsilon: o.epsilon,
+                    covered: o.covered,
+                    coverage_stats: o.stats,
+                    sub_built: o.sub.is_some(),
+                    topk: None,
+                };
+                (record, o.sub)
             }
-        }
-        // Retain the mining subgraph for child projection only when it is
-        // modestly sized: a frontier entry lives until its whole branch
-        // (or, under the work-stealing driver, its task class) drains, so
-        // retaining hub-attribute subgraphs without a cap would hold many
-        // large CSR copies at once. Children of an over-cap entry extract
-        // from the global graph — the pre-projection behavior, identical
-        // results.
-        let sub = outcome
-            .sub
-            .filter(|s| s.num_vertices() <= PROJECT_RETAIN_MAX_VERTICES);
-        Some(EnumEntry {
-            attrs,
-            tids,
-            cover: outcome.covered,
-            sub,
-            stable: false,
-        })
-    }
-
-    /// The replay twin of [`Scpm::evaluate`]: reproduces the fresh path's
-    /// reports, patterns, counters and gate decisions from a memo record,
-    /// without a coverage search. Sound because the set is clean (its
-    /// `V(S)` and `G(S)` are unchanged, so ε and `K_S` are too) and its
-    /// parents are stable (so the restricted mining set — and with it every
-    /// search counter — is bit-identical). δ_lb and the Theorem-5 floor are
-    /// recomputed against the *new* graph's null model, so qualification
-    /// may flip even for a clean set; a set that turns qualified here runs
-    /// its first top-k search live (the global-extraction search is
-    /// byte-equivalent to the projected one a full mine would run).
-    fn replay(
-        &self,
-        engine: &CorrelationEngine<'g>,
-        attrs: Vec<AttrId>,
-        tids: Tidset,
-        parent_cover: Option<&[VertexId]>,
-        record: EvalRecord,
-        result: &mut ScpmResult,
-    ) -> Option<EnumEntry> {
-        let ctx = self.incr.as_ref().expect("replay without a context");
-        let support = tids.support();
-        debug_assert_eq!(
-            support, record.support,
-            "replayed a set whose support changed — dirty-set bug"
-        );
+        };
+        let coverage_ops = record.coverage_stats.kernel_ops;
+        let (mut live_ops, mut reused_ops) = if replayed {
+            (0, coverage_ops)
+        } else {
+            (coverage_ops, 0)
+        };
         result.stats.attribute_sets_examined += 1;
         result.stats.add_coverage(&record.coverage_stats);
         let epsilon = record.epsilon;
         let delta_lb = self.model.normalize(epsilon, support);
         let qualified = epsilon >= self.params.eps_min && delta_lb >= self.params.delta_min;
-        let mut reused_ops = record.coverage_stats.kernel_ops;
-        let mut topk = record.topk.clone();
 
         if attrs.len() >= self.params.min_attrs {
             result.reports.push(AttributeSetReport {
@@ -389,12 +305,22 @@ impl<'g> Scpm<'g> {
             if qualified {
                 result.stats.attribute_sets_qualified += 1;
                 if record.sub_built {
-                    let (cliques, tk_stats) = match topk.take() {
-                        Some((cliques, tk_stats)) => {
-                            reused_ops += tk_stats.kernel_ops;
-                            (cliques, tk_stats)
+                    let (cliques, tk_stats) = match record.topk.take() {
+                        Some(cached) => {
+                            reused_ops += cached.1.kernel_ops;
+                            cached
                         }
-                        None => engine.top_k(tids.as_slice(), parent_cover, self.params.k),
+                        None => {
+                            // The top-k search runs on the same mining set
+                            // as the coverage search — reuse its subgraph
+                            // verbatim when this evaluation built one.
+                            let live = match sub.as_deref() {
+                                Some(sub) => engine.top_k_on(sub, self.params.k),
+                                None => engine.top_k(tids.as_slice(), parent_cover, self.params.k),
+                            };
+                            live_ops += live.1.kernel_ops;
+                            live
+                        }
                     };
                     result.stats.add_topk(&tk_stats);
                     for clique in &cliques {
@@ -403,26 +329,26 @@ impl<'g> Scpm<'g> {
                             clique: clique.clone(),
                         });
                     }
-                    topk = Some((cliques, tk_stats));
+                    record.topk = Some((cliques, tk_stats));
                 }
             }
         } else if qualified {
             result.stats.attribute_sets_qualified += 1;
         }
 
-        ctx.count_reuse(reused_ops);
-        ctx.store(
-            &attrs,
-            EvalRecord {
-                support,
-                epsilon,
-                covered: record.covered.clone(),
-                coverage_stats: record.coverage_stats,
-                sub_built: record.sub_built,
-                topk,
-            },
-        );
+        if let Some(ctx) = &self.incr {
+            ctx.count(replayed, live_ops, reused_ops);
+            ctx.store(
+                &attrs,
+                EvalRecord {
+                    covered: record.covered.clone(),
+                    ..record
+                },
+            );
+        }
 
+        // Extension gates (Theorems 4 and 5): `|K_S|` bounds `ε`/`δ` of any
+        // superset with support ≥ σmin.
         if attrs.len() >= self.params.max_attrs {
             return None;
         }
@@ -439,14 +365,20 @@ impl<'g> Scpm<'g> {
                 return None;
             }
         }
-        // No retained subgraph: children that evaluate live fall back to
-        // global extraction, which is byte-equivalent to projection.
+        // Retain the mining subgraph for child projection only when it is
+        // modestly sized: a frontier entry lives until its whole branch
+        // (or, under the work-stealing driver, its task class) drains, so
+        // retaining hub-attribute subgraphs without a cap would hold many
+        // large CSR copies at once. Children of an over-cap entry — and of
+        // a replayed entry, which has no subgraph — extract from the
+        // global graph: identical results, pre-projection cost.
+        let sub = sub.filter(|s| s.num_vertices() <= PROJECT_RETAIN_MAX_VERTICES);
         Some(EnumEntry {
             attrs,
             tids,
             cover: record.covered,
-            sub: None,
-            stable: true,
+            sub,
+            stable: replayed,
         })
     }
 

@@ -212,7 +212,9 @@ pub struct IncrementalStats {
     pub reused: u64,
     /// Attribute sets evaluated live (fresh coverage search).
     pub reevaluated: u64,
-    /// Modeled kernel operations performed by live evaluations.
+    /// Modeled kernel operations performed live: every coverage search of
+    /// a live evaluation, and every top-k search that had no memoized
+    /// result (including a replayed set that newly qualifies).
     pub live_kernel_ops: u64,
     /// Modeled kernel operations replayed from memo records (work a full
     /// re-mine would have performed again).
@@ -304,18 +306,20 @@ impl IncrementalCtx {
         self.new_memo.lock().insert(attrs.to_vec(), record);
     }
 
-    /// Counts one replayed set and the kernel work it avoided.
-    pub(crate) fn count_reuse(&self, kernel_ops: u64) {
-        self.reused.fetch_add(1, Ordering::Relaxed);
+    /// Counts one evaluated set — replayed from the memo or evaluated
+    /// live — with the kernel work it performed live and the work its
+    /// memo record saved. A replayed set that newly qualifies runs its
+    /// top-k search live, so one set can contribute to both.
+    pub(crate) fn count(&self, replayed: bool, live_ops: u64, reused_ops: u64) {
+        let sets = if replayed {
+            &self.reused
+        } else {
+            &self.reevaluated
+        };
+        sets.fetch_add(1, Ordering::Relaxed);
+        self.live_kernel_ops.fetch_add(live_ops, Ordering::Relaxed);
         self.reused_kernel_ops
-            .fetch_add(kernel_ops, Ordering::Relaxed);
-    }
-
-    /// Counts one live evaluation and its kernel work.
-    pub(crate) fn count_live(&self, kernel_ops: u64) {
-        self.reevaluated.fetch_add(1, Ordering::Relaxed);
-        self.live_kernel_ops
-            .fetch_add(kernel_ops, Ordering::Relaxed);
+            .fetch_add(reused_ops, Ordering::Relaxed);
     }
 
     /// This run's reuse counters.

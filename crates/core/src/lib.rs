@@ -47,7 +47,6 @@ pub mod algorithm;
 pub mod correlation;
 pub mod hypergeom;
 pub mod incremental;
-pub mod levelwise;
 pub mod memoio;
 pub mod naive;
 pub mod nullmodel;

@@ -59,8 +59,9 @@ pub struct ScpmStats {
     pub attribute_sets_qualified: u64,
     /// Candidate extensions rejected by the support threshold.
     pub pruned_support: u64,
-    /// Candidates rejected by the Apriori all-subsets check (level-wise
-    /// enumeration only).
+    /// Always 0: no driver increments it since the breadth-first
+    /// (Apriori all-subsets) lattice driver was removed. Kept so the
+    /// `/mine` stats schema and its `pruned_apriori` JSON key stay stable.
     pub pruned_apriori: u64,
     /// Extensions suppressed by Theorem 4 (`ε` upper bound).
     pub pruned_eps_bound: u64,

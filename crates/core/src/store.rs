@@ -739,6 +739,37 @@ mod tests {
     }
 
     #[test]
+    fn stale_v2_checkpoints_are_no_usable_snapshot() {
+        // A data directory whose retained checkpoints are all version 2
+        // (the pre-mmap layout) cannot be recovered: each generation is
+        // tried, newest first, and fails with `BadVersion(2)`.
+        let dir = tdir("stale_v2");
+        let (_graph, params, mut writer) = seed(&dir);
+        writer
+            .append(&GraphDelta::parse("v 1\ne 0 11\n").unwrap())
+            .unwrap();
+        let mine = replay_mine(recover(&dir).unwrap(), &params, &ParallelConfig::new(1)).unwrap();
+        drop(writer);
+        let _w1 = checkpoint(&dir, 1, &mine.graph, &mine.memo, &params).unwrap();
+        for g in [0, 1] {
+            let path = dir.snapshot_path(g);
+            let mut bytes = std::fs::read(&path).unwrap();
+            bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+        }
+        match recover(&dir) {
+            Err(StoreError::NoUsableSnapshot { tried }) => assert_eq!(
+                tried,
+                vec![
+                    (1, SnapshotError::BadVersion(2)),
+                    (0, SnapshotError::BadVersion(2))
+                ]
+            ),
+            other => panic!("expected NoUsableSnapshot, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn corrupt_memo_degrades_to_recording_mine() {
         let dir = tdir("badmemo");
         let (graph, params, _writer) = seed(&dir);

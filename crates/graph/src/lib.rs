@@ -72,7 +72,7 @@ pub use io::source::{Interner, RawSource, StreamingSource};
 pub use journal::{JournalError, JournalRead, JournalRecord, JournalWriter, TornTail};
 pub use kcore::CoreDecomposition;
 pub use snapshot::{
-    decode, encode, encode_v2, fnv1a64, load_snapshot, save_snapshot, write_snapshot_atomic,
-    Fnv1a64, MappedSnapshot, SnapshotError,
+    decode, encode, fnv1a64, load_snapshot, save_snapshot, write_snapshot_atomic, Fnv1a64,
+    MappedSnapshot, SnapshotError,
 };
 pub use stats::GraphSummary;

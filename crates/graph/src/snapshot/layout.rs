@@ -376,8 +376,7 @@ pub fn check_interner(bytes: &[u8], a: u64) -> Result<Vec<(usize, usize)>, Snaps
         }
         let raw = &bytes[at..at + len];
         std::str::from_utf8(raw).map_err(|_| SnapshotError::BadName)?;
-        // Duplicate names would collapse ids on re-intern; reject, exactly
-        // as the v2 structural pass did.
+        // Duplicate names would collapse ids on re-intern; reject.
         if !seen.insert(raw) {
             return Err(err_range("duplicate attribute name", i));
         }

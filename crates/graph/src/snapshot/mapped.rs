@@ -8,9 +8,9 @@
 //! snapshot costs one header+directory check and the out-of-core mining
 //! driver only ever pays for the sections (and pages) it actually reads.
 //!
-//! Legacy v2 files are *heap-converted* on open: decoded through the
-//! owned path and re-encoded as v3 into an 8-byte-aligned heap buffer, so
-//! callers see one uniform accessor surface either way.
+//! Opening shares the owned decoder's header check (magic, version,
+//! header checksum, directory), so both readers reject foreign, stale and
+//! corrupt-header files with the same [`SnapshotError`].
 //!
 //! All numeric accessors hand out `&[u32]`/`&[u64]` slices cast straight
 //! from the mapping on little-endian targets (every section offset is
@@ -24,15 +24,12 @@ use std::path::Path;
 use std::sync::OnceLock;
 
 use super::layout::{self, Counts, Layout, Section, SECTIONS};
-use super::{
-    check_v3_section, materialize_v3, parse_v3_header, DirEntry, SnapshotError, MAGIC, VERSION,
-    VERSION_V2,
-};
+use super::{check_v3_section, materialize_v3, parse_v3_header, DirEntry, SnapshotError};
 use crate::attributed::AttributedGraph;
 use crate::csr::VertexId;
 
 /// An 8-byte-aligned owned byte buffer (backed by `u64` words) — the
-/// fallback backing for converted v2 files and in-memory buffers.
+/// backing for in-memory buffers.
 #[derive(Debug)]
 struct AlignedBuf {
     words: Vec<u64>,
@@ -105,66 +102,27 @@ pub struct MappedSnapshot {
 }
 
 impl MappedSnapshot {
-    /// Opens a snapshot file for zero-copy reading.
-    ///
-    /// v3 files are memory-mapped and only the header + directory are
-    /// validated up front. v2 files are heap-converted (decoded and
-    /// re-encoded as v3 into an aligned buffer) so every caller sees the
-    /// v3 accessor surface.
+    /// Opens a snapshot file for zero-copy reading: the file is
+    /// memory-mapped and only the header + directory are validated up
+    /// front.
     pub fn open(path: impl AsRef<Path>) -> Result<MappedSnapshot, SnapshotError> {
         let file = File::open(path)?;
         // SAFETY: snapshot files are written atomically (temp + rename)
         // and never mutated in place, so the mapping cannot be truncated
         // or rewritten underneath us by well-behaved tooling.
         let map = unsafe { memmap2::Mmap::map(&file)? };
-        match Self::version_of(map.as_slice())? {
-            VERSION_V2 => {
-                let graph = super::decode(map.as_slice())?;
-                Self::from_aligned(AlignedBuf::from_bytes(&super::encode(&graph)))
-            }
-            _ => {
-                if !(map.as_slice().as_ptr() as usize).is_multiple_of(8) {
-                    // Defensive: no mmap implementation returns unaligned
-                    // bases, but the owned fallback costs only a copy.
-                    return Self::from_aligned(AlignedBuf::from_bytes(map.as_slice()));
-                }
-                Self::from_backing(Backing::Mapped(map))
-            }
+        if !(map.as_slice().as_ptr() as usize).is_multiple_of(8) {
+            // Defensive: no mmap implementation returns unaligned bases,
+            // but the owned fallback costs only a copy.
+            return Self::from_aligned(AlignedBuf::from_bytes(map.as_slice()));
         }
+        Self::from_backing(Backing::Mapped(map))
     }
 
     /// Builds a mapped snapshot from an in-memory buffer (copied into an
-    /// aligned heap backing). Accepts v2 buffers via the same
-    /// heap-conversion fallback as [`MappedSnapshot::open`].
+    /// aligned heap backing).
     pub fn from_bytes(data: impl AsRef<[u8]>) -> Result<MappedSnapshot, SnapshotError> {
-        let data = data.as_ref();
-        match Self::version_of(data)? {
-            VERSION_V2 => {
-                let graph = super::decode(data)?;
-                Self::from_aligned(AlignedBuf::from_bytes(&super::encode(&graph)))
-            }
-            _ => Self::from_aligned(AlignedBuf::from_bytes(data)),
-        }
-    }
-
-    fn version_of(data: &[u8]) -> Result<u32, SnapshotError> {
-        if data.len() < 8 {
-            if data == &MAGIC[..data.len()] {
-                return Err(SnapshotError::Truncated { reading: "header" });
-            }
-            return Err(SnapshotError::BadMagic);
-        }
-        if &data[..8] != MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        if data.len() < 12 {
-            return Err(SnapshotError::Truncated { reading: "header" });
-        }
-        let version = u32::from_le_bytes(data[8..12].try_into().unwrap());
-        match version {
-            VERSION | VERSION_V2 => Ok(version),
-            v => Err(SnapshotError::BadVersion(v)),
-        }
+        Self::from_aligned(AlignedBuf::from_bytes(data.as_ref()))
     }
 
     fn from_aligned(buf: AlignedBuf) -> Result<MappedSnapshot, SnapshotError> {
@@ -188,7 +146,7 @@ impl MappedSnapshot {
     }
 
     /// Whether the file was served straight from a memory map (`true`) or
-    /// through the owned/converted fallback (`false`).
+    /// through the owned fallback (`false`).
     pub fn is_zero_copy(&self) -> bool {
         matches!(self.backing, Backing::Mapped(_)) && cfg!(target_endian = "little")
     }
@@ -382,7 +340,7 @@ impl MappedSnapshot {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{encode, encode_v2, fnv1a64};
+    use super::super::{encode, fnv1a64};
     use super::*;
     use crate::figure1::figure1;
 
@@ -415,23 +373,6 @@ mod tests {
         }
         let owned = snap.to_graph().unwrap();
         assert_eq!(encode(&owned).as_ref(), encode(&g).as_ref());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn v2_files_heap_convert_on_open() {
-        let g = figure1();
-        let path = write_temp("fig1_v2.snap", &encode_v2(&g));
-        let snap = MappedSnapshot::open(&path).unwrap();
-        assert!(!snap.is_zero_copy());
-        assert_eq!(snap.num_vertices(), g.num_vertices());
-        for v in g.graph().vertices() {
-            assert_eq!(snap.neighbors(v).unwrap(), g.graph().neighbors(v));
-        }
-        assert_eq!(
-            encode(&snap.to_graph().unwrap()).as_ref(),
-            encode(&g).as_ref()
-        );
         std::fs::remove_file(&path).ok();
     }
 
@@ -476,7 +417,7 @@ mod tests {
     fn every_section_byte_flip_is_rejected_lazily() {
         // For every byte in every section payload (and the padding before
         // it), a flip must surface as an error from validate() even though
-        // open() succeeds. Mirrors the v2 whole-body guarantee.
+        // open() succeeds.
         let g = figure1();
         let raw = encode(&g).to_vec();
         let first_pad = super::super::layout::HEADER_LEN + super::super::layout::DIR_LEN;

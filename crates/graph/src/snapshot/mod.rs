@@ -13,17 +13,18 @@
 //! Two readers share the format:
 //!
 //! * [`decode`] — the owned-buffer path: validates every section eagerly
-//!   and materializes an [`AttributedGraph`]. Still reads **version 2**
-//!   files (the pre-mmap, length-prefixed layout) for compatibility; the
-//!   dataset cache regenerates them lazily because [`VERSION`] is part of
-//!   its fingerprint.
+//!   and materializes an [`AttributedGraph`].
 //! * [`MappedSnapshot`] — the zero-copy path: memory-maps the file and
 //!   validates checksums *lazily per section*, on first touch, so opening
-//!   a multi-gigabyte snapshot costs one header check. v2 files are
-//!   heap-converted on open.
+//!   a multi-gigabyte snapshot costs one header check.
+//!
+//! Both readers accept version 3 only. Older files (version 1, and the
+//! pre-mmap version 2 layout) fail with [`SnapshotError::BadVersion`];
+//! the dataset cache regenerates them because [`VERSION`] is part of its
+//! fingerprint, and other snapshots are re-ingested from their sources.
 //!
 //! Decoding is defensive in layers: the magic rejects foreign files, the
-//! version dispatches revisions, the header checksum covers the directory
+//! version rejects other revisions, the header checksum covers the directory
 //! (and therefore every section checksum), section checksums reject bit
 //! rot, zero-fill verification covers the alignment padding, and the
 //! structural pass re-checks every length and id range anyway (defense in
@@ -31,10 +32,10 @@
 //! panic). Failures return a [`SnapshotError`]; the failure-injection
 //! tests feed truncated and corrupted buffers through both readers.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use std::path::Path;
 
-use crate::attributed::{AttributedGraph, AttributedGraphBuilder};
+use crate::attributed::AttributedGraph;
 use crate::csr::CsrGraph;
 
 pub mod layout;
@@ -47,15 +48,11 @@ use layout::{Counts, Layout, Section, DIR_ENTRY_LEN, DIR_LEN, DIR_OFFSET, HEADER
 /// The 8-byte file magic every snapshot version starts with.
 pub const MAGIC: &[u8; 8] = b"SCPMSNAP";
 
-/// Current snapshot format version. Version 2 (the pre-mmap layout) is
-/// still readable through the compatibility decoder; version 1
-/// (unchecksummed) is not, and decoding it fails with
+/// The snapshot format version, the only one this build reads. Decoding
+/// any other version (1 unchecksummed, 2 the pre-mmap layout) fails with
 /// [`SnapshotError::BadVersion`] so callers (the dataset cache,
 /// `scpm ingest`) regenerate.
 pub const VERSION: u32 = 3;
-
-/// The previous snapshot version, readable but no longer written.
-pub const VERSION_V2: u32 = 2;
 
 /// Streaming FNV-1a 64-bit hasher — the snapshot checksum function in
 /// incremental form, used by the external (bounded-memory) ingest writer
@@ -126,8 +123,8 @@ pub enum SnapshotError {
     BadMagic,
     /// Unsupported format version (a stale file from another revision).
     BadVersion(u32),
-    /// A stored checksum does not match the content (whole-body for v2,
-    /// per-section or header for v3).
+    /// A stored checksum does not match the content (a section or the
+    /// header).
     ChecksumMismatch {
         /// Checksum stored in the file.
         stored: u64,
@@ -164,7 +161,8 @@ impl std::fmt::Display for SnapshotError {
             SnapshotError::BadMagic => write!(f, "not a scpm snapshot (bad magic)"),
             SnapshotError::BadVersion(v) => write!(
                 f,
-                "unsupported snapshot version {v} (this build reads versions {VERSION_V2} and {VERSION})"
+                "unsupported snapshot version {v} (this build reads version {VERSION} only; \
+                 re-ingest the graph to rewrite it)"
             ),
             SnapshotError::ChecksumMismatch { stored, computed } => write!(
                 f,
@@ -330,58 +328,12 @@ pub(crate) fn header_checksum(data: &[u8]) -> u64 {
     h.finish()
 }
 
-/// Encodes an attributed graph into the legacy **v2** snapshot layout
-/// (length-prefixed body behind a whole-body trailing checksum). Kept so
-/// compatibility and corruption tests can manufacture real v2 files;
-/// nothing writes v2 in production anymore.
-pub fn encode_v2(g: &AttributedGraph) -> Bytes {
-    let n = g.num_vertices();
-    let m = g.num_edges();
-    let a = g.num_attributes();
-    let pairs: usize = (0..n as u32).map(|v| g.attributes_of(v).len()).sum();
-
-    let name_bytes: usize = (0..a as u32).map(|x| g.attr_name(x).len() + 4).sum();
-    let mut buf = BytesMut::with_capacity(8 + 4 + 8 * 5 + m * 8 + name_bytes + pairs * 8);
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(VERSION_V2);
-    buf.put_u64_le(n as u64);
-    buf.put_u64_le(m as u64);
-    for (u, v) in g.graph().edges() {
-        buf.put_u32_le(u);
-        buf.put_u32_le(v);
-    }
-    buf.put_u64_le(a as u64);
-    for x in 0..a as u32 {
-        let name = g.attr_name(x).as_bytes();
-        buf.put_u32_le(name.len() as u32);
-        buf.put_slice(name);
-    }
-    buf.put_u64_le(pairs as u64);
-    for v in 0..n as u32 {
-        for &x in g.attributes_of(v) {
-            buf.put_u32_le(v);
-            buf.put_u32_le(x);
-        }
-    }
-    let checksum = fnv1a64(buf.as_ref());
-    buf.put_u64_le(checksum);
-    buf.freeze()
-}
-
-fn need(buf: &impl Buf, bytes: usize, reading: &'static str) -> Result<(), SnapshotError> {
-    if buf.remaining() < bytes {
-        Err(SnapshotError::Truncated { reading })
-    } else {
-        Ok(())
-    }
-}
-
 /// Decodes a snapshot buffer into an attributed graph.
 ///
-/// Dispatches on the version word: v3 files run the sectioned validation
-/// (header checksum, per-section checksums, padding zero-fill, structural
-/// pass), v2 files run the legacy whole-body path. Checks run outside-in
-/// either way; a forged checksum cannot make the decoder panic.
+/// Runs the sectioned validation eagerly (magic and version, header
+/// checksum, per-section checksums, padding zero-fill, structural pass),
+/// outside-in, then materializes the graph without re-sorting anything.
+/// A forged checksum cannot make the decoder panic.
 ///
 /// ```
 /// use scpm_graph::snapshot::{decode, encode};
@@ -395,31 +347,6 @@ fn need(buf: &impl Buf, bytes: usize, reading: &'static str) -> Result<(), Snaps
 /// ```
 pub fn decode(data: impl AsRef<[u8]>) -> Result<AttributedGraph, SnapshotError> {
     let data = data.as_ref();
-    if data.len() < 8 {
-        // Too short to even carry the magic: classify by what we can see.
-        if data == &MAGIC[..data.len()] {
-            return Err(SnapshotError::Truncated { reading: "header" });
-        }
-        return Err(SnapshotError::BadMagic);
-    }
-    if &data[..8] != MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
-    if data.len() < 12 {
-        return Err(SnapshotError::Truncated { reading: "header" });
-    }
-    let version = u32::from_le_bytes(data[8..12].try_into().unwrap());
-    match version {
-        VERSION_V2 => decode_v2(data),
-        VERSION => decode_v3(data),
-        v => Err(SnapshotError::BadVersion(v)),
-    }
-}
-
-/// The v3 owned-buffer decoder: every section validated eagerly (but still
-/// independently, so corruption reports name the failing layer), then the
-/// graph is materialized without re-sorting anything.
-fn decode_v3(data: &[u8]) -> Result<AttributedGraph, SnapshotError> {
     let (counts, lay, dir) = parse_v3_header(data)?;
     for s in SECTIONS {
         check_v3_section(data, counts, &lay, &dir, s)?;
@@ -427,13 +354,31 @@ fn decode_v3(data: &[u8]) -> Result<AttributedGraph, SnapshotError> {
     Ok(materialize_v3(data, counts, &lay))
 }
 
-/// Parses and verifies a v3 header + directory: length, section count,
-/// header checksum (which covers the directory and therefore every section
-/// checksum), declared-vs-actual total length, and directory consistency
-/// with the canonical layout.
+/// Parses and verifies a v3 header + directory: magic, version, length,
+/// section count, header checksum (which covers the directory and
+/// therefore every section checksum), declared-vs-actual total length,
+/// and directory consistency with the canonical layout. Both readers
+/// start here.
 pub(crate) fn parse_v3_header(
     data: &[u8],
 ) -> Result<(Counts, Layout, [DirEntry; layout::SECTION_COUNT]), SnapshotError> {
+    if data.len() < MAGIC.len() {
+        // Too short to even carry the magic: classify by what we can see.
+        if data == &MAGIC[..data.len()] {
+            return Err(SnapshotError::Truncated { reading: "header" });
+        }
+        return Err(SnapshotError::BadMagic);
+    }
+    if &data[..MAGIC.len()] != MAGIC {
+        return Err(SnapshotError::BadMagic);
+    }
+    if data.len() < 12 {
+        return Err(SnapshotError::Truncated { reading: "header" });
+    }
+    let version = layout::u32_at(data, 8);
+    if version != VERSION {
+        return Err(SnapshotError::BadVersion(version));
+    }
     if data.len() < HEADER_LEN {
         return Err(SnapshotError::Truncated { reading: "header" });
     }
@@ -674,101 +619,6 @@ pub(crate) fn materialize_v3(data: &[u8], counts: Counts, lay: &Layout) -> Attri
     AttributedGraph::from_csr_parts(graph, attr_offsets, vertex_attrs, attr_vertices, attr_names)
 }
 
-/// The legacy v2 decoder: whole-body checksum up front, then the
-/// structural pass rebuilds the graph through the builder.
-fn decode_v2(data: &[u8]) -> Result<AttributedGraph, SnapshotError> {
-    if data.len() < 12 + 8 {
-        return Err(SnapshotError::Truncated {
-            reading: "checksum",
-        });
-    }
-    let body = &data[..data.len() - 8];
-    let stored = u64::from_le_bytes(data[data.len() - 8..].try_into().unwrap());
-    let computed = fnv1a64(body);
-    if stored != computed {
-        return Err(SnapshotError::ChecksumMismatch { stored, computed });
-    }
-
-    let mut buf: &[u8] = &body[12..];
-    need(&buf, 8, "vertex count")?;
-    let n = buf.get_u64_le();
-    if n > u32::MAX as u64 {
-        return Err(SnapshotError::OutOfRange {
-            reading: "vertex count",
-            value: n,
-        });
-    }
-    let mut b = AttributedGraphBuilder::new(n as usize);
-
-    need(&buf, 8, "edge count")?;
-    let m = buf.get_u64_le();
-    for _ in 0..m {
-        need(&buf, 8, "edge")?;
-        let u = buf.get_u32_le();
-        let v = buf.get_u32_le();
-        if u as u64 >= n || v as u64 >= n {
-            return Err(SnapshotError::OutOfRange {
-                reading: "edge endpoint",
-                value: u.max(v) as u64,
-            });
-        }
-        b.add_edge(u, v);
-    }
-
-    need(&buf, 8, "attribute count")?;
-    let a = buf.get_u64_le();
-    if a > u32::MAX as u64 {
-        return Err(SnapshotError::OutOfRange {
-            reading: "attribute count",
-            value: a,
-        });
-    }
-    for i in 0..a {
-        need(&buf, 4, "attribute name length")?;
-        let len = buf.get_u32_le() as usize;
-        need(&buf, len, "attribute name")?;
-        let mut raw = vec![0u8; len];
-        buf.copy_to_slice(&mut raw);
-        let name = String::from_utf8(raw).map_err(|_| SnapshotError::BadName)?;
-        let id = b.intern_attr(&name);
-        if id as u64 != i {
-            // Duplicate names collapse ids and would desynchronize the
-            // pair section; treat as corruption.
-            return Err(SnapshotError::OutOfRange {
-                reading: "duplicate attribute name",
-                value: i,
-            });
-        }
-    }
-
-    need(&buf, 8, "pair count")?;
-    let pairs = buf.get_u64_le();
-    for _ in 0..pairs {
-        need(&buf, 8, "vertex-attribute pair")?;
-        let v = buf.get_u32_le();
-        let x = buf.get_u32_le();
-        if v as u64 >= n {
-            return Err(SnapshotError::OutOfRange {
-                reading: "pair vertex",
-                value: v as u64,
-            });
-        }
-        if x as u64 >= a {
-            return Err(SnapshotError::OutOfRange {
-                reading: "pair attribute",
-                value: x as u64,
-            });
-        }
-        b.add_attr(v, x);
-    }
-    if buf.remaining() != 0 {
-        return Err(SnapshotError::TrailingData {
-            bytes: buf.remaining(),
-        });
-    }
-    Ok(b.build())
-}
-
 /// Writes a snapshot to a file atomically (alias for
 /// [`write_snapshot_atomic`]; kept as the historical name every ingest
 /// path calls).
@@ -808,16 +658,8 @@ pub fn load_snapshot(path: impl AsRef<Path>) -> Result<AttributedGraph, Snapshot
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::attributed::AttributedGraphBuilder;
     use crate::figure1::figure1;
-
-    /// Recomputes a v2 buffer's trailing checksum after a test patched the
-    /// body — lets tests reach the structural validation layer behind it.
-    fn reseal_v2(mut raw: Vec<u8>) -> Vec<u8> {
-        let body = raw.len() - 8;
-        let sum = fnv1a64(&raw[..body]).to_le_bytes();
-        raw[body..].copy_from_slice(&sum);
-        raw
-    }
 
     /// Recomputes every v3 checksum (sections, then header) after a test
     /// patched payload bytes — lets tests reach the structural layer.
@@ -916,24 +758,6 @@ mod tests {
     }
 
     #[test]
-    fn reads_legacy_v2_files() {
-        let g = figure1();
-        let raw = encode_v2(&g).to_vec();
-        let g2 = decode(&raw).unwrap();
-        assert!(equivalent(&g, &g2));
-    }
-
-    #[test]
-    fn v2_and_v3_decode_to_identical_tables() {
-        // The two decoders normalize to the same canonical in-memory form,
-        // so re-encoding a decoded v2 file is byte-identical to encoding
-        // the original graph.
-        let g = figure1();
-        let via_v2 = decode(encode_v2(&g)).unwrap();
-        assert_eq!(encode(&via_v2).as_ref(), encode(&g).as_ref());
-    }
-
-    #[test]
     fn rejects_bad_magic() {
         let mut raw = encode(&figure1()).to_vec();
         raw[0] = b'X';
@@ -957,10 +781,32 @@ mod tests {
 
     #[test]
     fn rejects_stale_version_1() {
-        // A version-1 header (what pre-checksum snapshots carried).
-        let mut raw = encode(&figure1()).to_vec();
-        raw[8..12].copy_from_slice(&1u32.to_le_bytes());
-        assert!(matches!(decode(raw), Err(SnapshotError::BadVersion(1))));
+        // Version 1 (unchecksummed) and version 2 (the pre-mmap layout)
+        // are both stale: every reader refuses them with the same error,
+        // and the message names the readable version and the remedy.
+        // The stale inputs are v3 encodings with the version word patched.
+        let dir = std::env::temp_dir().join("scpm_snapshot_stale_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        for stale in [1u32, 2] {
+            let mut raw = encode(&figure1()).to_vec();
+            raw[8..12].copy_from_slice(&stale.to_le_bytes());
+            let path = dir.join(format!("v{stale}.snap"));
+            std::fs::write(&path, &raw).unwrap();
+            let errors = [
+                decode(&raw).err(),
+                load_snapshot(&path).err(),
+                MappedSnapshot::from_bytes(&raw).err(),
+                MappedSnapshot::open(&path).err(),
+            ];
+            for (reader, e) in errors.into_iter().enumerate() {
+                assert_eq!(e, Some(SnapshotError::BadVersion(stale)), "reader {reader}");
+                let msg = e.unwrap().to_string();
+                assert!(msg.contains(&format!("version {stale}")), "{msg}");
+                assert!(msg.contains("reads version 3 only"), "{msg}");
+                assert!(msg.contains("re-ingest"), "{msg}");
+            }
+            std::fs::remove_file(&path).ok();
+        }
     }
 
     #[test]
@@ -1006,24 +852,14 @@ mod tests {
     fn single_byte_flips_at_every_offset_fail_cleanly() {
         // A flip at EVERY byte offset (header, directory, padding,
         // sections) must return a clean SnapshotError — never a panic,
-        // never a silent accept. This is the exact coverage the v2
-        // whole-body checksum gave, re-proven for the per-section scheme.
+        // never a silent accept. This is the coverage a whole-body
+        // checksum would give, proven for the per-section scheme.
         let raw = encode(&figure1()).to_vec();
         for off in 0..raw.len() {
             let mut bad = raw.clone();
             bad[off] ^= 0x01;
             let r = decode(&bad);
             assert!(r.is_err(), "flip at {off} was accepted");
-        }
-    }
-
-    #[test]
-    fn v2_single_byte_flips_still_fail_cleanly() {
-        let raw = encode_v2(&figure1()).to_vec();
-        for off in 0..raw.len() {
-            let mut bad = raw.clone();
-            bad[off] ^= 0x01;
-            assert!(decode(&bad).is_err(), "v2 flip at {off} was accepted");
         }
     }
 
@@ -1144,36 +980,6 @@ mod tests {
             let bad = reseal_v3(bad);
             assert!(decode(&bad).is_err());
         }
-    }
-
-    #[test]
-    fn v2_structural_check_rejects_resealed_trailing_payload() {
-        // Insert extra payload *before* the v2 checksum and reseal: the
-        // checksum passes, the structural layer must still refuse.
-        let raw = encode_v2(&figure1()).to_vec();
-        let mut bad = raw[..raw.len() - 8].to_vec();
-        bad.extend_from_slice(&[0u8; 6]);
-        bad.extend_from_slice(&[0u8; 8]); // checksum placeholder
-        let bad = reseal_v2(bad);
-        assert!(matches!(
-            decode(&bad),
-            Err(SnapshotError::TrailingData { bytes: 6 })
-        ));
-    }
-
-    #[test]
-    fn v2_rejects_out_of_range_edge_behind_valid_checksum() {
-        let g = figure1();
-        let raw = encode_v2(&g).to_vec();
-        // First edge endpoint lives right after header + n + m.
-        let off = 8 + 4 + 8 + 8;
-        let mut bad = raw.clone();
-        bad[off..off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        let bad = reseal_v2(bad);
-        assert!(matches!(
-            decode(&bad),
-            Err(SnapshotError::OutOfRange { .. })
-        ));
     }
 
     #[test]

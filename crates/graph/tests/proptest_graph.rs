@@ -231,8 +231,7 @@ proptest! {
     ) {
         // The zero-copy reader and the heap decoder are two independent
         // implementations of the same format; for any graph they must
-        // agree on every accessor — through both the v3 fast path and the
-        // v2 heap-conversion fallback.
+        // agree on every accessor.
         let mut b = AttributedGraphBuilder::new(n);
         for (u, v) in edges { if u != v { b.add_edge(u, v); } }
         for a in 0..8u32 { b.intern_attr(&format!("attr-{a}")); }
@@ -240,31 +239,30 @@ proptest! {
             if (v as usize) < n { b.add_attr(v, a); }
         }
         let g = b.build();
-        let owned = snapshot::decode(snapshot::encode(&g)).unwrap();
-        for bytes in [snapshot::encode(&g), snapshot::encode_v2(&g)] {
-            let mapped = snapshot::MappedSnapshot::from_bytes(bytes).unwrap();
-            mapped.validate().unwrap();
-            prop_assert_eq!(mapped.num_vertices(), owned.num_vertices());
-            prop_assert_eq!(mapped.num_edges(), owned.num_edges());
-            prop_assert_eq!(mapped.num_attributes(), owned.num_attributes());
-            for v in owned.graph().vertices() {
-                prop_assert_eq!(mapped.neighbors(v).unwrap(), owned.graph().neighbors(v));
-                prop_assert_eq!(mapped.attributes_of(v).unwrap(), owned.attributes_of(v));
-            }
-            for a in 0..owned.num_attributes() as u32 {
-                prop_assert_eq!(mapped.vertices_with(a).unwrap(), owned.vertices_with(a));
-                prop_assert_eq!(mapped.support(a).unwrap(), owned.support(a));
-                prop_assert_eq!(mapped.attr_name(a).unwrap(), owned.attr_name(a));
-            }
-            let materialized = mapped.to_graph().unwrap();
-            let (enc_mapped, enc_owned) =
-                (snapshot::encode(&materialized), snapshot::encode(&owned));
-            prop_assert_eq!(
-                enc_mapped.as_ref(),
-                enc_owned.as_ref(),
-                "materialized graph drifted from the owned decode"
-            );
+        let bytes = snapshot::encode(&g);
+        let owned = snapshot::decode(&bytes).unwrap();
+        let mapped = snapshot::MappedSnapshot::from_bytes(&bytes).unwrap();
+        mapped.validate().unwrap();
+        prop_assert_eq!(mapped.num_vertices(), owned.num_vertices());
+        prop_assert_eq!(mapped.num_edges(), owned.num_edges());
+        prop_assert_eq!(mapped.num_attributes(), owned.num_attributes());
+        for v in owned.graph().vertices() {
+            prop_assert_eq!(mapped.neighbors(v).unwrap(), owned.graph().neighbors(v));
+            prop_assert_eq!(mapped.attributes_of(v).unwrap(), owned.attributes_of(v));
         }
+        for a in 0..owned.num_attributes() as u32 {
+            prop_assert_eq!(mapped.vertices_with(a).unwrap(), owned.vertices_with(a));
+            prop_assert_eq!(mapped.support(a).unwrap(), owned.support(a));
+            prop_assert_eq!(mapped.attr_name(a).unwrap(), owned.attr_name(a));
+        }
+        let materialized = mapped.to_graph().unwrap();
+        let (enc_mapped, enc_owned) =
+            (snapshot::encode(&materialized), snapshot::encode(&owned));
+        prop_assert_eq!(
+            enc_mapped.as_ref(),
+            enc_owned.as_ref(),
+            "materialized graph drifted from the owned decode"
+        );
     }
 
     #[test]

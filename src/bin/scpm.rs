@@ -11,7 +11,7 @@
 //!                [--sigma-min N] [--gamma F] [--min-size N]
 //!                [--eps-min F] [--delta-min F] [--top-k N] [--order dfs|bfs]
 //!                [--min-attrs N] [--max-attrs N] [--threads N] [--split-depth N]
-//!                [--algo scpm|levelwise|scorp|naive] [--repr bitset|slice] [--limit N]
+//!                [--algo scpm|scorp|naive] [--repr bitset|slice] [--limit N]
 //!                [--json] [--mmap] [--memory-budget BYTES]
 //! scpm update    --graph g.txt | --snapshot g.snap --delta d.txt
 //!                [--out g2.snap] [--json] [+ the mine thresholds]
@@ -114,7 +114,7 @@ const USAGE: &str = "usage:
                  [--sigma-min N] [--gamma F] [--min-size N]
                  [--eps-min F] [--delta-min F] [--top-k N] [--order dfs|bfs]
                  [--min-attrs N] [--max-attrs N] [--threads N] [--split-depth N]
-                 [--algo scpm|levelwise|scorp|naive] [--repr bitset|slice] [--limit N]
+                 [--algo scpm|scorp|naive] [--repr bitset|slice] [--limit N]
                  [--json] [--mmap] [--memory-budget BYTES]   (zero-copy out-of-core mine)
   scpm update    --graph <file> | --snapshot <file.snap> --delta <file>
                  [--out <file>[.snap]] [--json] [+ the mine thresholds]
@@ -134,13 +134,56 @@ const USAGE: &str = "usage:
 
 formats: see docs/DATASETS.md for the byte-level grammars";
 
-/// Minimal `--flag value` parser (boolean flags take no value).
+/// Minimal `--flag value` parser (boolean flags take no value). A flag
+/// no command knows is an error, so a misspelling never silently falls
+/// back to a default.
 struct Flags {
     values: HashMap<String, String>,
     bools: Vec<String>,
 }
 
 const BOOL_FLAGS: &[&str] = &["naive", "strict-vertices", "raw-attr-order", "json", "mmap"];
+
+/// Every flag that takes a value, across all commands.
+const VALUE_FLAGS: &[&str] = &[
+    "algo",
+    "attrs",
+    "checkpoint-every",
+    "data-dir",
+    "dataset",
+    "delta",
+    "delta-min",
+    "dot",
+    "edges",
+    "eps-min",
+    "format",
+    "gamma",
+    "graph",
+    "host",
+    "ids",
+    "limit",
+    "max-attrs",
+    "max-frac",
+    "memory-budget",
+    "min-attrs",
+    "min-size",
+    "order",
+    "out",
+    "points",
+    "port",
+    "pvalue-sims",
+    "repr",
+    "scale",
+    "seed",
+    "self-loops",
+    "sigma-min",
+    "sims",
+    "snapshot",
+    "split-depth",
+    "threads",
+    "top",
+    "top-k",
+];
 
 impl Flags {
     fn parse(args: &[String]) -> Result<Flags, String> {
@@ -156,6 +199,9 @@ impl Flags {
                 bools.push(name.to_string());
                 i += 1;
                 continue;
+            }
+            if !VALUE_FLAGS.contains(&name) {
+                return Err(format!("unknown flag `--{name}`"));
             }
             let value = args
                 .get(i + 1)
@@ -438,7 +484,6 @@ fn mine(flags: &Flags) -> Result<(), String> {
     let result = match algo {
         "naive" => run_naive(&graph, &params),
         "scorp" => Scorp::new(&graph, params).run(),
-        "levelwise" => Scpm::new(&graph, params).run_levelwise(),
         "scpm" => {
             if threads > 1 {
                 let config = ParallelConfig::new(threads).with_split_depth(split_depth);
@@ -447,11 +492,7 @@ fn mine(flags: &Flags) -> Result<(), String> {
                 Scpm::new(&graph, params).run()
             }
         }
-        other => {
-            return Err(format!(
-                "invalid --algo `{other}` (want scpm|levelwise|scorp|naive)"
-            ))
-        }
+        other => return Err(format!("invalid --algo `{other}` (want scpm|scorp|naive)")),
     };
     if flags.flag("json") {
         // The catalog dump: byte-identical to what `scpm serve` answers
@@ -885,6 +926,15 @@ mod tests {
     }
 
     #[test]
+    fn rejects_unknown_flags() {
+        let e = parse(&["--graph", "g.txt", "--sigma-mn", "999999"])
+            .err()
+            .unwrap();
+        assert_eq!(e, "unknown flag `--sigma-mn`");
+        assert!(parse(&["--jsn"]).is_err());
+    }
+
+    #[test]
     fn defaults_apply() {
         let f = parse(&[]).unwrap();
         assert_eq!(f.num("top-k", 5usize).unwrap(), 5);
@@ -939,7 +989,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("fig1.txt");
         save_attributed(&scpm_graph::figure1::figure1(), &path).unwrap();
-        for algo in ["scpm", "levelwise", "scorp", "naive"] {
+        for algo in ["scpm", "scorp", "naive"] {
             let f = parse(&[
                 "--graph",
                 path.to_str().unwrap(),

@@ -249,6 +249,25 @@ fn serve_rejects_invalid_parameters_at_startup() {
 }
 
 #[test]
+fn misspelled_flags_exit_2_with_usage() {
+    let path = temp_graph("misspelled");
+    let graph = path.to_str().unwrap();
+    // `serve` gets a missing graph file so that, were the flag accepted,
+    // the run would fail on loading instead of serving forever.
+    for args in [
+        ["mine", "--graph", graph, "--sigma-mn", "999999"],
+        ["serve", "--graph", "/nonexistent/g.txt", "--sigma-mn", "5"],
+    ] {
+        let out = scpm(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown flag `--sigma-mn`"), "{stderr}");
+        assert!(stderr.contains("usage:"), "{stderr}");
+        assert!(out.stdout.is_empty(), "nothing may be mined");
+    }
+}
+
+#[test]
 fn generate_convert_nullmodel_pipeline() {
     let dir = std::env::temp_dir().join("scpm_cli_smoke_pipe");
     std::fs::create_dir_all(&dir).unwrap();

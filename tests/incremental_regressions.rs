@@ -2,14 +2,16 @@
 //!
 //! Each test applies one hand-crafted delta whose effect on the Table-1
 //! catalog is known in advance — a new pattern appears, an existing one
-//! dies, only ε of a survivor moves, or nothing mined is touched at all —
-//! and asserts three things:
+//! dies, only ε of a survivor moves, a clean set crosses δmin, or nothing
+//! mined is touched at all — and asserts four things:
 //!
 //! 1. **Dirty-set exactness**: `DirtySet::from_delta` marks exactly the
 //!    attribute sets whose `V(S)` or `G(S)` changed (Theorems 3–5 justify
 //!    leaving the rest untouched), no more and no fewer.
 //! 2. **Catalog effect**: the predicted pattern-level change happened.
 //! 3. **Byte-identity**: the incremental catalog equals a full re-mine.
+//! 4. **Work accounting**: live plus reused kernel operations add up to
+//!    the run's `qc_kernel_ops`.
 
 use std::sync::Arc;
 
@@ -47,11 +49,20 @@ fn record_mine(graph: &AttributedGraph, params: &ScpmParams) -> (ScpmResult, Eva
 }
 
 /// Applies `delta` to Figure 1, mines it incrementally off a recorded
-/// memo, asserts byte-identity with a full re-mine, and returns the
-/// updated graph, its result, the dirty set, and the incremental stats.
+/// memo, asserts byte-identity with a full re-mine and complete work
+/// accounting, and returns the updated graph, its result, the dirty set,
+/// and the incremental stats.
 fn drive(delta: &str) -> (AttributedGraph, ScpmResult, DirtySet, IncrementalStats) {
+    drive_with(delta, &table1_params())
+}
+
+/// [`drive`] under explicit parameters.
+fn drive_with(
+    delta: &str,
+    params: &ScpmParams,
+) -> (AttributedGraph, ScpmResult, DirtySet, IncrementalStats) {
     let base = figure1();
-    let params = table1_params();
+    let params = params.clone();
     let (_, memo) = record_mine(&base, &params);
     let applied = GraphDelta::parse(delta).unwrap().apply(&base).unwrap();
     let dirty = DirtySet::from_delta(&applied.graph, &applied);
@@ -70,6 +81,11 @@ fn drive(delta: &str) -> (AttributedGraph, ScpmResult, DirtySet, IncrementalStat
         catalog_json(&applied.graph, &params, result.clone()),
         catalog_json(&applied.graph, &params, full_mine(&applied.graph, &params)),
         "incremental catalog diverged from full re-mine"
+    );
+    assert_eq!(
+        stats.live_kernel_ops + stats.reused_kernel_ops,
+        result.stats.qc_kernel_ops,
+        "every kernel operation is either live or reused"
     );
     (applied.graph, result, dirty, stats)
 }
@@ -218,4 +234,28 @@ fn delta_touching_no_mined_attributes_dirties_nothing() {
     assert_eq!(stats.reevaluated, 0, "nothing may be evaluated live");
     assert_eq!(stats.reused, examined, "every examined set must replay");
     assert_eq!(result.patterns.len(), 7, "Table 1 is untouched");
+}
+
+/// Two appended attribute-less vertices joined by an edge dirty nothing,
+/// but they lower every `exp(σ)` of the null model, so δ_lb({B}) rises
+/// from 1.84 to 2.74. With δmin = 2 the clean set {B} replays its memo
+/// record yet newly qualifies — there is no cached top-k for it, so its
+/// top-k search runs live and must be counted as live work.
+#[test]
+fn delta_moving_a_clean_set_across_delta_min() {
+    let params = table1_params().with_delta_min(2.0);
+    let base = figure1();
+    let b = base.attr_id("B").unwrap();
+    let base_b = full_mine(&base, &params).report_for(&[b]).unwrap().clone();
+    assert!(base_b.delta_lb < 2.0 && !base_b.qualified, "{base_b:?}");
+
+    let (_, result, dirty, stats) = drive_with("v 2\ne 11 12\n", &params);
+
+    assert!(dirty.is_empty(), "the new vertices carry no attributes");
+    let new_b = result.report_for(&[b]).unwrap();
+    assert_eq!(new_b.epsilon, base_b.epsilon, "ε of a clean set is fixed");
+    assert!(new_b.delta_lb >= 2.0 && new_b.qualified, "{new_b:?}");
+    assert!(result.patterns.iter().any(|p| p.attrs == vec![b]));
+    assert_eq!(stats.reevaluated, 0, "every set replays its record");
+    assert!(stats.live_kernel_ops > 0, "the new top-k search ran live");
 }

@@ -98,6 +98,14 @@ fn assert_chain_identical(
         let ctx = scpm.take_incremental().unwrap();
         let stats = ctx.stats();
         let (new_memo, _) = ctx.into_parts();
+        prop_assert_eq!(
+            stats.live_kernel_ops + stats.reused_kernel_ops,
+            result.stats.qc_kernel_ops,
+            "step {}: kernel work neither live nor reused (repr {:?}, {} threads)",
+            step,
+            repr,
+            threads
+        );
         let incremental = catalog_json(&applied.graph, &params, result);
         let full = full_mine(&applied.graph, &params, &config);
         prop_assert_eq!(
@@ -279,6 +287,10 @@ fn noop_and_isolated_deltas_replay_everything() {
         "clean lattice must evaluate nothing live"
     );
     assert_eq!(stats.reused, examined, "every examined set must replay");
+    assert_eq!(
+        stats.live_kernel_ops + stats.reused_kernel_ops,
+        result.stats.qc_kernel_ops
+    );
     assert_eq!(
         catalog_json(&applied.graph, &params, result),
         full_mine(&applied.graph, &params, &config)
