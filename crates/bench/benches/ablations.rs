@@ -1,14 +1,12 @@
-//! Ablation benchmarks for the design choices called out in DESIGN.md.
+//! Ablation benchmarks for the pruning rules and the hot-path
+//! representation (see `docs/ARCHITECTURE.md` and `docs/PERFORMANCE.md`).
 //! Disabling any pruning rule is semantically inert (verified by tests);
 //! these benches quantify what each rule buys.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use scpm_core::{Scorp, Scpm, ScpmParams, ScpmPruneFlags};
 use scpm_datasets::small_dblp_like;
-use scpm_graph::bitadj::{
-    and_not_count, difference_is_empty, gather_intersect_popcount, intersect_popcount,
-    BitAdjacency, VertexBitset,
-};
+use scpm_graph::bitadj::{gather_intersect_popcount, BitAdjacency, VertexBitset};
 use scpm_graph::csr::intersect_count;
 use scpm_graph::generators::planted::{BackgroundModel, PlantedCommunityConfig, PlantedGraph};
 use scpm_graph::induced::InducedSubgraph;
@@ -216,7 +214,9 @@ fn bench_representation_kernels(c: &mut Criterion) {
     group.bench_function("exdeg/bitset_popcount", |b| {
         b.iter(|| {
             (0..sub.num_vertices() as u32)
-                .map(|v| adj.degree_within(v, &cand_bits))
+                .map(|v| {
+                    gather_intersect_popcount(adj.row(v), cand_bits.words(), adj.row_active(v))
+                })
                 .sum::<usize>()
         })
     });
@@ -229,96 +229,11 @@ fn bench_representation_kernels(c: &mut Criterion) {
     group.finish();
 }
 
-/// Fused vs unfused A/B on raw packed rows: each fused single-pass kernel
-/// against the compose-of-primitives pipeline it replaced (materialize,
-/// then reduce), at a dense and a sparse occupancy. The gathered variant
-/// is measured against the full-stride fused kernel to isolate what the
-/// active-word lists buy on sparse data.
-fn bench_fused_kernels(c: &mut Criterion) {
-    const N: usize = 4096; // 64 words per set — several summary groups
-    let dense: Vec<u32> = (0..N as u32).step_by(2).collect();
-    let sparse: Vec<u32> = (0..N as u32).step_by(97).collect();
-    let occupancies = [("dense", &dense), ("sparse", &sparse)];
-    let other = VertexBitset::from_sorted(N, &(0..N as u32).step_by(3).collect::<Vec<_>>());
-
-    let mut group = c.benchmark_group("fused-kernels");
-    group.sample_size(20);
-    for (occ, set) in occupancies {
-        let bits = VertexBitset::from_sorted(N, set);
-        let mut active = Vec::new();
-        bits.active_words_into(&mut active);
-
-        // intersect_popcount vs intersect-then-count.
-        group.bench_with_input(
-            BenchmarkId::new("intersect_popcount/fused", occ),
-            &bits,
-            |b, bits| b.iter(|| intersect_popcount(bits.words(), other.words())),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("intersect_popcount/unfused", occ),
-            &bits,
-            |b, bits| {
-                b.iter(|| {
-                    let mut tmp = bits.clone();
-                    tmp.intersect_with(&other);
-                    tmp.count()
-                })
-            },
-        );
-
-        // and_not_count vs difference-then-count.
-        group.bench_with_input(
-            BenchmarkId::new("and_not_count/fused", occ),
-            &bits,
-            |b, bits| b.iter(|| and_not_count(bits.words(), other.words())),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("and_not_count/unfused", occ),
-            &bits,
-            |b, bits| {
-                b.iter(|| {
-                    let mut tmp = bits.clone();
-                    tmp.difference_with(&other);
-                    tmp.count()
-                })
-            },
-        );
-
-        // Blocked early-exit subset test vs counting the difference.
-        group.bench_with_input(
-            BenchmarkId::new("subset/fused_early_exit", occ),
-            &bits,
-            |b, bits| b.iter(|| difference_is_empty(bits.words(), other.words())),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("subset/unfused_count", occ),
-            &bits,
-            |b, bits| b.iter(|| and_not_count(bits.words(), other.words()) == 0),
-        );
-
-        // Gathered (active-word list) vs full-stride fused popcount.
-        group.bench_with_input(
-            BenchmarkId::new("gather/active_words", occ),
-            &(&bits, &active),
-            |b, (bits, active)| {
-                b.iter(|| gather_intersect_popcount(other.words(), bits.words(), active))
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("gather/full_stride", occ),
-            &bits,
-            |b, bits| b.iter(|| intersect_popcount(other.words(), bits.words())),
-        );
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_engine_prunings,
     bench_scpm_theorem_ablation,
     bench_scorp_vs_scpm,
-    bench_representation_kernels,
-    bench_fused_kernels
+    bench_representation_kernels
 );
 criterion_main!(benches);

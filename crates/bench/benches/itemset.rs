@@ -1,10 +1,10 @@
-//! Micro-benchmarks of the frequent itemset substrate: Eclat vs Apriori
-//! vs dEclat, plus tidset intersections, on a DBLP-like attribute
-//! distribution.
+//! Micro-benchmarks of the frequent itemset substrate: Eclat across
+//! support thresholds, plus tidset intersections, on a DBLP-like
+//! attribute distribution.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use scpm_datasets::dblp_like;
-use scpm_itemset::{apriori, declat, eclat, EclatConfig, Tidset};
+use scpm_itemset::{eclat, EclatConfig, Tidset};
 
 fn bench_eclat(c: &mut Criterion) {
     let dataset = dblp_like(0.02, 3);
@@ -38,27 +38,5 @@ fn bench_tidset_intersection(c: &mut Criterion) {
     });
 }
 
-/// The three miners on the same database: vertical tidsets (Eclat),
-/// horizontal counting (Apriori), vertical diffsets (dEclat).
-fn bench_miner_comparison(c: &mut Criterion) {
-    let dataset = dblp_like(0.02, 3);
-    let g = &dataset.graph;
-    let cfg = EclatConfig {
-        min_support: 50,
-        max_size: 3,
-    };
-    let mut group = c.benchmark_group("itemset_miners");
-    group.sample_size(10);
-    group.bench_function("eclat", |b| b.iter(|| eclat(g, &cfg).len()));
-    group.bench_function("apriori", |b| b.iter(|| apriori(g, &cfg).len()));
-    group.bench_function("declat", |b| b.iter(|| declat(g, &cfg).len()));
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_eclat,
-    bench_miner_comparison,
-    bench_tidset_intersection
-);
+criterion_group!(benches, bench_eclat, bench_tidset_intersection);
 criterion_main!(benches);

@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the null models: the O(max_degree) analytical
-//! recurrence vs. the naive double sum (the design choice called out in
-//! DESIGN.md), the exact hypergeometric variant, and the simulation
-//! estimator (serial vs crossbeam-parallel).
+//! recurrence vs. the naive double sum (Theorem 2's recurrence, see
+//! `docs/ARCHITECTURE.md`), the exact hypergeometric variant, and the
+//! simulation estimator (serial vs crossbeam-parallel).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use scpm_core::nullmodel::{simulate_expected, simulate_expected_parallel, AnalyticalModel};

@@ -20,8 +20,8 @@
 //! `Representation::Bitset` — and the binary **exits nonzero unless the
 //! two outcomes (reports + patterns) are byte-identical**. Wall-clock
 //! plus the hardware-independent counters (qc-search nodes, point edge
-//! tests, modeled kernel operations, fused-kernel calls, summary blocks
-//! skipped) land in a v2 JSON file whose per-workload `thresholds` carry
+//! tests, modeled kernel operations, fused-kernel calls, and the
+//! always-0 `blocks_skipped`) land in a v2 JSON file whose per-workload `thresholds` carry
 //! the regression contract; the file is committed at the repo root as
 //! `BENCH_scpm.json` (see `docs/PERFORMANCE.md`).
 //!
@@ -307,7 +307,7 @@ fn render(
             "    \"edge_tests\": \"point adjacency/membership queries in the hot loops\",\n",
             "    \"kernel_ops\": \"modeled work: slice elements touched vs bitset u64 words touched\",\n",
             "    \"fused_ops\": \"fused single-pass kernel invocations (bitset path only)\",\n",
-            "    \"blocks_skipped\": \"8-word blocks skipped via the VertexBitset summary hierarchy\",\n",
+            "    \"blocks_skipped\": \"always 0: the VertexBitset summary hierarchy it counted was removed; kept for schema stability\",\n",
             "    \"probes_elided\": \"point probes answered in bulk by the batched row-AND promotion sweeps\",\n",
             "    \"batch_ops\": \"u64 words touched by the batched promotion sweeps (subset of kernel_ops)\"\n",
             "  }},\n",

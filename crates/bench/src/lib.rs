@@ -1,7 +1,7 @@
 //! Shared utilities of the experiment harness.
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the
-//! paper's evaluation (see DESIGN.md's experiment index); the Criterion
+//! paper's evaluation (see `docs/ARCHITECTURE.md`); the Criterion
 //! benches in `benches/` cover micro-level and ablation measurements.
 
 #![warn(missing_docs)]

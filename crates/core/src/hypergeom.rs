@@ -15,8 +15,9 @@
 //! the exact law. For `σ ≪ |V|` the two agree closely (the binomial is the
 //! large-population limit of the hypergeometric); near `σ ≈ |V|` the
 //! binomial smears mass onto degrees the sample cannot actually produce,
-//! and the exact model is visibly sharper. DESIGN.md documents this as a
-//! deliberate extension: the paper's pruning only needs a *monotone*
+//! and the exact model is visibly sharper. This is a deliberate extension
+//! (one of the three interchangeable null models in
+//! `docs/ARCHITECTURE.md`): the paper's pruning only needs a *monotone*
 //! `exp` function, which both laws provide.
 
 use std::sync::Arc;

@@ -9,7 +9,7 @@
 //! every length and count behind it:
 //!
 //! ```text
-//! "SCPMMEMO" u32 version=1
+//! "SCPMMEMO" u32 version=2
 //! u64 params_fingerprint        fingerprint(ScpmParams), see below
 //! u64 graph_fingerprint         fnv1a64(snapshot::encode(graph))
 //! u64 entries                   then entries × record, keys ascending
@@ -17,10 +17,11 @@
 //!   u64 support
 //!   u64 epsilon                 f64::to_bits
 //!   u64 covered_len, × u32      covered vertex ids
-//!   15 × u64                    coverage SearchStats (field order)
+//!   14 × u64                    coverage SearchStats (field order,
+//!                               without the always-0 blocks_skipped)
 //!   u8 sub_built, u8 has_topk
 //!   if has_topk: u64 cliques, each (u32 len, len × u32, u64 mdr_bits,
-//!                u64 density_bits), then 15 × u64 top-k SearchStats
+//!                u64 density_bits), then 14 × u64 top-k SearchStats
 //! u64 checksum                  FNV-1a 64 of every preceding byte
 //! ```
 //!
@@ -30,6 +31,11 @@
 //! exact graph it was recorded against; recovery checks both and falls
 //! back to a recording mine (with a report, never silently wrong
 //! results) on any mismatch.
+//!
+//! Version 1 also stored `blocks_skipped`, a counter no search increments
+//! any more; replaying a v1 record would add the old build's value back
+//! into `qc_blocks_skipped`. A v1 memo therefore decodes as
+//! [`MemoError::BadVersion`], which recovery treats as "no usable memo".
 
 use std::collections::HashMap;
 
@@ -44,10 +50,11 @@ use crate::params::ScpmParams;
 const MAGIC: &[u8; 8] = b"SCPMMEMO";
 
 /// Current memo file format version.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 
-/// Number of `u64` counters a [`SearchStats`] serializes to.
-const STATS_FIELDS: usize = 15;
+/// Number of `u64` counters a [`SearchStats`] serializes to (every field
+/// but the always-0 `blocks_skipped`).
+const STATS_FIELDS: usize = 14;
 
 /// Errors produced while decoding a memo file.
 #[derive(Debug, PartialEq, Eq)]
@@ -169,7 +176,6 @@ fn put_stats(buf: &mut Vec<u8>, s: &SearchStats) {
         s.edge_tests,
         s.kernel_ops,
         s.fused_ops,
-        s.blocks_skipped,
         s.probes_elided,
         s.batch_ops,
     ] {
@@ -293,9 +299,9 @@ fn take_stats(c: &mut Cursor<'_>, reading: &'static str) -> Result<SearchStats, 
         edge_tests: w[9],
         kernel_ops: w[10],
         fused_ops: w[11],
-        blocks_skipped: w[12],
-        probes_elided: w[13],
-        batch_ops: w[14],
+        blocks_skipped: 0,
+        probes_elided: w[12],
+        batch_ops: w[13],
     })
 }
 
@@ -518,6 +524,17 @@ mod tests {
             decode_memo(&bytes),
             Err(MemoError::OutOfRange { .. })
         ));
+    }
+
+    #[test]
+    fn version_1_memo_is_rejected() {
+        let (memo, params) = sample_memo();
+        let mut bytes = encode_memo(&memo, params_fingerprint(&params), 1);
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        let body = bytes.len() - 8;
+        let sum = fnv1a64(&bytes[..body]).to_le_bytes();
+        bytes[body..].copy_from_slice(&sum);
+        assert_eq!(decode_memo(&bytes).unwrap_err(), MemoError::BadVersion(1));
     }
 
     #[test]

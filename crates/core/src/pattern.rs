@@ -84,9 +84,11 @@ pub struct ScpmStats {
     /// (bitset hot path plus the shared packed containment filter); see
     /// [`SearchStats::fused_ops`](scpm_quasiclique::SearchStats).
     pub qc_fused_ops: u64,
-    /// 8-word blocks skipped via the `VertexBitset` summary hierarchy,
-    /// summed over all searches; see
-    /// [`SearchStats::blocks_skipped`](scpm_quasiclique::SearchStats).
+    /// Always 0: no search increments
+    /// [`SearchStats::blocks_skipped`](scpm_quasiclique::SearchStats)
+    /// since the `VertexBitset` summary hierarchy was removed. Kept so the
+    /// `/mine` stats schema and its `qc_blocks_skipped` JSON key stay
+    /// stable.
     pub qc_blocks_skipped: u64,
     /// Point probes the batched row-AND promotion kernels answered in
     /// bulk (bitset path only), summed over all searches; see

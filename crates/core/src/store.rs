@@ -793,6 +793,39 @@ mod tests {
     }
 
     #[test]
+    fn version_1_memo_degrades_to_recording_mine() {
+        // A memo written before the format dropped `blocks_skipped` must
+        // not replay that counter: recovery refuses it and the recording
+        // mine reproduces a fresh mine exactly, counters included.
+        let dir = tdir("v1memo");
+        let (graph, params, _writer) = seed(&dir);
+        let memo_path = dir.memo_path(0);
+        let mut bytes = std::fs::read(&memo_path).unwrap();
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        let body = bytes.len() - 8;
+        let sum = fnv1a64(&bytes[..body]).to_le_bytes();
+        bytes[body..].copy_from_slice(&sum);
+        std::fs::write(&memo_path, &bytes).unwrap();
+
+        let state = recover(&dir).unwrap();
+        assert!(state.memo.is_none());
+        let note = state.memo_note.clone().unwrap();
+        assert!(note.contains("unsupported memo version 1"), "{note}");
+        let mine = replay_mine(state, &params, &ParallelConfig::new(1)).unwrap();
+        assert!(!mine.memo_replayed);
+        let full = full_mine(&graph, &params);
+        assert_eq!(
+            format!("{:?}|{:?}", mine.result.reports, mine.result.patterns),
+            format!("{:?}|{:?}", full.reports, full.patterns)
+        );
+        let (mut got, mut want) = (mine.result.stats, full.stats);
+        got.elapsed = Default::default();
+        want.elapsed = Default::default();
+        assert_eq!(got, want);
+        assert_eq!(got.qc_blocks_skipped, 0);
+    }
+
+    #[test]
     fn changed_params_refuse_the_memo() {
         let dir = tdir("badparams");
         let (_graph, _params, _writer) = seed(&dir);

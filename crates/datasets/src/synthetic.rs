@@ -1,7 +1,7 @@
 //! Seeded synthetic attributed graphs calibrated to the three networks of
 //! the paper's evaluation (§4.1). The real crawls are not redistributable,
 //! so each generator reproduces the *shape* that drives the paper's
-//! findings (see DESIGN.md):
+//! findings:
 //!
 //! * vertex/edge/attribute counts matching the published statistics (times
 //!   a `scale` factor),

@@ -6,22 +6,18 @@
 //! reduction) and dense. Sorted-slice scans answer them in `O(deg)` /
 //! `O(log deg)`; this module answers them word-parallel:
 //!
-//! * [`VertexBitset`] — a packed vertex set with intersect / difference /
-//!   popcount kernels that touch `⌈n/64⌉` words instead of `n` elements,
-//!   plus a one-summary-word-per-[`SUMMARY_GROUP_WORDS`]-words hierarchy
-//!   that lets kernels skip empty 8-word blocks in `O(1)`.
+//! * [`VertexBitset`] — a flat packed vertex set over `⌈n/64⌉` words whose
+//!   tracked inserts record the nonzero-word list as they go, so the
+//!   engine packs and clears it in `O(|set|)`.
 //! * [`BitAdjacency`] — a dense bit matrix over a (sub)graph: `O(1)` edge
-//!   tests and popcount-based degree / external-degree counting, built
-//!   once per induced subgraph and reused across the whole search.
+//!   tests and per-row nonzero-word lists, built once per induced subgraph
+//!   and reused across the whole search.
 //!
-//! The free kernels at the bottom ([`intersect_popcount`],
-//! [`and_not_count`], [`difference_is_empty`],
-//! [`gather_intersect_popcount`]) are *blocked*: they process words in
-//! [`LANE_WORDS`]-wide chunks with per-lane accumulators so stable Rust
-//! auto-vectorizes them (no `portable_simd`), and they fuse the combining
-//! operation with the reduction — a single pass computes
-//! "intersect **and** count" instead of materializing the intersection
-//! first.
+//! The two free kernels at the bottom are what the search runs:
+//! [`difference_is_empty`] (a blocked subset test that processes words in
+//! [`LANE_WORDS`]-wide chunks so stable Rust auto-vectorizes it) and
+//! [`gather_intersect_popcount`] (`|a ∩ b|` over a listed subset of word
+//! indices).
 //!
 //! Both types are deliberately *local-id* structures: they are sized by the
 //! vertex count of one [`CsrGraph`] (usually an
@@ -35,26 +31,15 @@ use crate::csr::{CsrGraph, VertexId};
 /// Bits per storage word.
 pub const WORD_BITS: usize = 64;
 
-/// Words per auto-vectorization block: the blocked kernels process
-/// `LANE_WORDS` words per iteration with independent accumulators, which
-/// is the shape LLVM turns into SIMD on stable Rust.
+/// Words per auto-vectorization block: [`difference_is_empty`] processes
+/// `LANE_WORDS` words per iteration, which is the shape LLVM turns into
+/// SIMD on stable Rust.
 pub const LANE_WORDS: usize = 4;
-
-/// Data words summarized per summary word: bit `j` of summary word `i` is
-/// set iff data word `8·i + j` is nonzero, so an all-zero summary word
-/// certifies an empty 8-word block in one load.
-pub const SUMMARY_GROUP_WORDS: usize = 8;
 
 /// Number of `u64` words needed for an `n`-bit set.
 #[inline]
 pub const fn words_for(n: usize) -> usize {
     n.div_ceil(WORD_BITS)
-}
-
-/// Number of summary words covering `words` data words.
-#[inline]
-pub const fn summary_words_for(words: usize) -> usize {
-    words.div_ceil(SUMMARY_GROUP_WORDS)
 }
 
 /// The valid-bit mask of the **last** storage word of an `n`-bit set: bits
@@ -71,62 +56,9 @@ pub const fn tail_mask(n: usize) -> u64 {
     }
 }
 
-/// Fused `|a ∩ b|`: AND + popcount in one blocked pass (no intermediate
-/// set is materialized). Slices are zip-truncated to the shorter length;
-/// same-universe callers pass equal lengths.
-///
-/// Equivalent to `intersect_with` followed by `count`, verified by
-/// property test against that composition.
-#[inline]
-pub fn intersect_popcount(a: &[u64], b: &[u64]) -> usize {
-    let n = a.len().min(b.len());
-    let (a, b) = (&a[..n], &b[..n]);
-    let mut lanes = [0u64; LANE_WORDS];
-    let mut ca = a.chunks_exact(LANE_WORDS);
-    let mut cb = b.chunks_exact(LANE_WORDS);
-    for (xs, ys) in (&mut ca).zip(&mut cb) {
-        for l in 0..LANE_WORDS {
-            lanes[l] += (xs[l] & ys[l]).count_ones() as u64;
-        }
-    }
-    let mut total: u64 = lanes.iter().sum();
-    for (&x, &y) in ca.remainder().iter().zip(cb.remainder()) {
-        total += (x & y).count_ones() as u64;
-    }
-    total as usize
-}
-
-/// Fused `|a \ b|`: AND-NOT + popcount in one blocked pass. Words of `a`
-/// beyond `b`'s length belong to the difference and are counted.
-///
-/// Equivalent to `difference_with` followed by `count`.
-#[inline]
-pub fn and_not_count(a: &[u64], b: &[u64]) -> usize {
-    let n = a.len().min(b.len());
-    let mut lanes = [0u64; LANE_WORDS];
-    let mut ca = a[..n].chunks_exact(LANE_WORDS);
-    let mut cb = b[..n].chunks_exact(LANE_WORDS);
-    for (xs, ys) in (&mut ca).zip(&mut cb) {
-        for l in 0..LANE_WORDS {
-            lanes[l] += (xs[l] & !ys[l]).count_ones() as u64;
-        }
-    }
-    let mut total: u64 = lanes.iter().sum();
-    for (&x, &y) in ca.remainder().iter().zip(cb.remainder()) {
-        total += (x & !y).count_ones() as u64;
-    }
-    for &x in &a[n..] {
-        total += x.count_ones() as u64;
-    }
-    total as usize
-}
-
 /// Fused subset test: whether `a \ b = ∅` (i.e. `a ⊆ b`), processed in
 /// [`LANE_WORDS`]-word blocks with an early exit per block. Words of `a`
 /// beyond `b`'s length must be zero for the difference to be empty.
-///
-/// Equivalent to `and_not_count(a, b) == 0` without always touching every
-/// word.
 #[inline]
 pub fn difference_is_empty(a: &[u64], b: &[u64]) -> bool {
     let n = a.len().min(b.len());
@@ -150,8 +82,9 @@ pub fn difference_is_empty(a: &[u64], b: &[u64]) -> bool {
 }
 
 /// Fused sparse `|a ∩ b|` restricted to the word indices in `idx`
-/// (typically the [`VertexBitset::active_words_into`] list of `b`): one
-/// AND + popcount per listed word, skipping everything else.
+/// (typically a [`BitAdjacency::row_active`] list or the active-word list
+/// [`VertexBitset::insert_tracked`] builds): one AND + popcount per listed
+/// word, skipping everything else.
 ///
 /// Correct whenever every nonzero word of `a ∩ b` is listed in `idx` —
 /// guaranteed when `idx` covers all nonzero words of either operand.
@@ -165,26 +98,11 @@ pub fn gather_intersect_popcount(a: &[u64], b: &[u64], idx: &[u32]) -> usize {
     total as usize
 }
 
-/// What one [`VertexBitset::active_words_into`] scan touched — the numbers
-/// the engine folds into its modeled-cost counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ActiveScan {
-    /// Data words examined (all words of every non-empty 8-word block).
-    pub words_examined: usize,
-    /// 8-word blocks skipped because their summary word was zero.
-    pub blocks_skipped: usize,
-}
-
-/// A packed vertex set over a fixed universe `0..n`.
+/// A packed vertex set over a fixed universe `0..n`: a flat vector of
+/// `⌈n/64⌉` words.
 ///
-/// Alongside the data words the set maintains a **summary hierarchy**: one
-/// summary word per [`SUMMARY_GROUP_WORDS`] data words, where bit `j` of
-/// summary word `i` mirrors "data word `8·i + j` is nonzero". Kernels use
-/// it to skip empty blocks in `O(1)`, which is what makes sparse candidate
-/// sets cheap even over a wide universe.
-///
-/// Every public mutator keeps the set *canonical* — no bits at positions
-/// `≥ n`, summary consistent with the data words — and the kernels
+/// Every public mutator keeps the set *canonical* — the word count matches
+/// the universe and no bit is set at a position `≥ n` — and the kernels
 /// `debug_assert` [`VertexBitset::canonical`] instead of re-deriving
 /// trailing-word masks at each call site.
 ///
@@ -192,17 +110,16 @@ pub struct ActiveScan {
 /// use scpm_graph::bitadj::VertexBitset;
 ///
 /// let a = VertexBitset::from_sorted(130, &[0, 64, 128]);
-/// let b = VertexBitset::from_sorted(130, &[64, 129]);
+/// let b = VertexBitset::from_sorted(130, &[0, 64, 128, 129]);
 /// assert_eq!(a.count(), 3);
 /// assert!(a.contains(64));
-/// assert_eq!(a.intersect_count(&b), 1);
+/// assert!(a.is_subset_of(&b) && !b.is_subset_of(&a));
 /// assert_eq!(a.iter().collect::<Vec<_>>(), vec![0, 64, 128]);
 /// ```
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct VertexBitset {
     n: usize,
     words: Vec<u64>,
-    summary: Vec<u64>,
 }
 
 impl VertexBitset {
@@ -211,7 +128,6 @@ impl VertexBitset {
         VertexBitset {
             n,
             words: vec![0; words_for(n)],
-            summary: vec![0; summary_words_for(words_for(n))],
         }
     }
 
@@ -231,8 +147,6 @@ impl VertexBitset {
         self.n = n;
         self.words.clear();
         self.words.resize(words_for(n), 0);
-        self.summary.clear();
-        self.summary.resize(summary_words_for(words_for(n)), 0);
     }
 
     /// Size of the universe (`n`, *not* the member count).
@@ -247,59 +161,23 @@ impl VertexBitset {
         &self.words
     }
 
-    /// The summary words: bit `j` of `summary()[i]` mirrors
-    /// "`words()[8·i + j]` is nonzero".
-    #[inline]
-    pub fn summary(&self) -> &[u64] {
-        &self.summary
-    }
-
-    /// Number of storage words (`⌈n/64⌉`).
-    #[inline]
-    pub fn num_words(&self) -> usize {
-        self.words.len()
-    }
-
-    /// Number of 8-word summary blocks (`⌈num_words/8⌉`).
-    #[inline]
-    pub fn num_blocks(&self) -> usize {
-        self.summary.len()
-    }
-
-    /// Whether the set is canonical: the word count matches the universe,
-    /// no bit is set at a position `≥ n` (the trailing-word invariant the
-    /// fused kernels rely on), and every summary bit mirrors its data
-    /// word. All public mutators preserve this; kernels `debug_assert` it.
+    /// Whether the set is canonical: the word count matches the universe
+    /// and no bit is set at a position `≥ n` (the trailing-word invariant
+    /// the kernels rely on). All public mutators preserve this; kernels
+    /// `debug_assert` it.
     pub fn canonical(&self) -> bool {
-        if self.words.len() != words_for(self.n) {
-            return false;
-        }
-        if self.summary.len() != summary_words_for(self.words.len()) {
-            return false;
-        }
-        if let Some(&last) = self.words.last() {
-            if last & !tail_mask(self.n) != 0 {
-                return false;
-            }
-        }
-        self.summary.iter().enumerate().all(|(bi, &s)| {
-            let start = bi * SUMMARY_GROUP_WORDS;
-            let end = (start + SUMMARY_GROUP_WORDS).min(self.words.len());
-            let expect = self.words[start..end]
-                .iter()
-                .enumerate()
-                .fold(0u64, |acc, (j, &w)| acc | (((w != 0) as u64) << j));
-            s == expect
-        })
+        self.words.len() == words_for(self.n)
+            && self
+                .words
+                .last()
+                .is_none_or(|&last| last & !tail_mask(self.n) == 0)
     }
 
     /// Inserts `v` (must be `< n`).
     #[inline]
     pub fn insert(&mut self, v: VertexId) {
         debug_assert!((v as usize) < self.n, "vertex {v} outside universe");
-        let wi = v as usize / WORD_BITS;
-        self.words[wi] |= 1u64 << (v as usize % WORD_BITS);
-        self.summary[wi / SUMMARY_GROUP_WORDS] |= 1u64 << (wi % SUMMARY_GROUP_WORDS);
+        self.words[v as usize / WORD_BITS] |= 1u64 << (v as usize % WORD_BITS);
     }
 
     /// Inserts `v` (must be `< n`), appending `v`'s word index to
@@ -316,19 +194,15 @@ impl VertexBitset {
             active.push(wi as u32);
         }
         self.words[wi] |= 1u64 << (v as usize % WORD_BITS);
-        self.summary[wi / SUMMARY_GROUP_WORDS] |= 1u64 << (wi % SUMMARY_GROUP_WORDS);
     }
 
-    /// Zeroes every word listed in `active` (and its summary bit), then
-    /// drains the list. With `active` covering all nonzero words — as
-    /// produced by [`VertexBitset::insert_tracked`] or
-    /// [`VertexBitset::active_words_into`] — this empties the set in
+    /// Zeroes every word listed in `active`, then drains the list. With
+    /// `active` covering all nonzero words — as produced by
+    /// [`VertexBitset::insert_tracked`] — this empties the set in
     /// `O(|active|)` instead of `O(⌈n/64⌉)`.
     pub fn clear_active(&mut self, active: &mut Vec<u32>) {
         for &wi in active.iter() {
-            let wi = wi as usize;
-            self.words[wi] = 0;
-            self.summary[wi / SUMMARY_GROUP_WORDS] &= !(1u64 << (wi % SUMMARY_GROUP_WORDS));
+            self.words[wi as usize] = 0;
         }
         active.clear();
         debug_assert!(self.is_empty());
@@ -338,11 +212,7 @@ impl VertexBitset {
     #[inline]
     pub fn remove(&mut self, v: VertexId) {
         debug_assert!((v as usize) < self.n, "vertex {v} outside universe");
-        let wi = v as usize / WORD_BITS;
-        self.words[wi] &= !(1u64 << (v as usize % WORD_BITS));
-        if self.words[wi] == 0 {
-            self.summary[wi / SUMMARY_GROUP_WORDS] &= !(1u64 << (wi % SUMMARY_GROUP_WORDS));
-        }
+        self.words[v as usize / WORD_BITS] &= !(1u64 << (v as usize % WORD_BITS));
     }
 
     /// Membership test, `O(1)`.
@@ -356,79 +226,9 @@ impl VertexBitset {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Whether the set is empty (`O(num_blocks)` via the summary).
+    /// Whether the set is empty.
     pub fn is_empty(&self) -> bool {
-        self.summary.iter().all(|&s| s == 0)
-    }
-
-    /// Appends the indices of all nonzero data words to `out` (cleared
-    /// first), skipping empty 8-word blocks via the summary. Returns what
-    /// the scan touched so callers can model its cost.
-    ///
-    /// The resulting list is what [`gather_intersect_popcount`] consumes:
-    /// a kernel restricted to these indices sees every member word of the
-    /// set while touching none of the empty ones.
-    pub fn active_words_into(&self, out: &mut Vec<u32>) -> ActiveScan {
-        debug_assert!(self.canonical());
-        out.clear();
-        let mut scan = ActiveScan::default();
-        for (bi, &s) in self.summary.iter().enumerate() {
-            if s == 0 {
-                scan.blocks_skipped += 1;
-                continue;
-            }
-            let start = bi * SUMMARY_GROUP_WORDS;
-            let end = (start + SUMMARY_GROUP_WORDS).min(self.words.len());
-            scan.words_examined += end - start;
-            for wi in start..end {
-                if self.words[wi] != 0 {
-                    out.push(wi as u32);
-                }
-            }
-        }
-        scan
-    }
-
-    /// `|self ∩ other|` without materializing the intersection (fused
-    /// blocked kernel).
-    #[inline]
-    pub fn intersect_count(&self, other: &VertexBitset) -> usize {
-        debug_assert!(self.canonical() && other.canonical());
-        intersect_popcount(&self.words, &other.words)
-    }
-
-    /// `|self ∩ words|` against a raw packed row (e.g. a
-    /// [`BitAdjacency`] row), skipping the set's empty 8-word blocks via
-    /// the summary.
-    #[inline]
-    pub fn intersect_count_words(&self, words: &[u64]) -> usize {
-        debug_assert!(self.canonical());
-        let mut total = 0usize;
-        for (bi, &s) in self.summary.iter().enumerate() {
-            if s == 0 {
-                continue;
-            }
-            let start = bi * SUMMARY_GROUP_WORDS;
-            let end = (start + SUMMARY_GROUP_WORDS).min(self.words.len());
-            total += intersect_popcount(&self.words[start..end], &words[start..end]);
-        }
-        total
-    }
-
-    /// In-place intersection `self &= other`.
-    pub fn intersect_with(&mut self, other: &VertexBitset) {
-        for (w, &o) in self.words.iter_mut().zip(other.words.iter()) {
-            *w &= o;
-        }
-        self.rebuild_summary();
-    }
-
-    /// In-place difference `self &= !other`.
-    pub fn difference_with(&mut self, other: &VertexBitset) {
-        for (w, &o) in self.words.iter_mut().zip(other.words.iter()) {
-            *w &= !o;
-        }
-        self.rebuild_summary();
+        self.words.iter().all(|&w| w == 0)
     }
 
     /// Whether `self ⊆ other` (fused blocked [`difference_is_empty`] with
@@ -438,32 +238,13 @@ impl VertexBitset {
         difference_is_empty(&self.words, &other.words)
     }
 
-    /// Recomputes the summary hierarchy from the data words (used after
-    /// bulk word mutations).
-    fn rebuild_summary(&mut self) {
-        for (bi, s) in self.summary.iter_mut().enumerate() {
-            let start = bi * SUMMARY_GROUP_WORDS;
-            let end = (start + SUMMARY_GROUP_WORDS).min(self.words.len());
-            *s = self.words[start..end]
-                .iter()
-                .enumerate()
-                .fold(0u64, |acc, (j, &w)| acc | (((w != 0) as u64) << j));
-        }
-    }
-
-    /// Iterates the members in ascending order, using the summary
-    /// hierarchy to jump straight from nonzero word to nonzero word —
-    /// `O(members + blocks)` instead of `O(⌈n/64⌉)`, which is what keeps
-    /// sparse keep-sets cheap to walk in the subgraph projection path.
+    /// Iterates the members in ascending order, `O(members + ⌈n/64⌉)`.
     pub fn iter(&self) -> SetBits<'_> {
         debug_assert!(self.canonical());
         SetBits {
             words: &self.words,
-            summary: &self.summary,
-            block: 0,
-            block_bits: self.summary.first().copied().unwrap_or(0),
-            word_base: 0,
-            current: 0,
+            word: 0,
+            current: self.words.first().copied().unwrap_or(0),
         }
     }
 
@@ -473,21 +254,13 @@ impl VertexBitset {
     }
 }
 
-/// Ascending iterator over the set bits of a [`VertexBitset`], walking
-/// summary words first so empty 8-word blocks and empty words inside a
-/// block are never touched.
+/// Ascending iterator over the set bits of a [`VertexBitset`].
 #[derive(Clone)]
 pub struct SetBits<'a> {
     words: &'a [u64],
-    summary: &'a [u64],
-    /// Index of the summary word `block_bits` came from.
-    block: usize,
-    /// Unconsumed bits of the current summary word (each names a nonzero
-    /// data word of the block).
-    block_bits: u64,
-    /// Word index of the data word `current` came from.
-    word_base: usize,
-    /// Unconsumed bits of the current data word.
+    /// Index of the word `current` came from.
+    word: usize,
+    /// Unconsumed bits of the current word.
     current: u64,
 }
 
@@ -496,21 +269,12 @@ impl Iterator for SetBits<'_> {
 
     fn next(&mut self) -> Option<VertexId> {
         while self.current == 0 {
-            while self.block_bits == 0 {
-                self.block += 1;
-                if self.block >= self.summary.len() {
-                    return None;
-                }
-                self.block_bits = self.summary[self.block];
-            }
-            let j = self.block_bits.trailing_zeros() as usize;
-            self.block_bits &= self.block_bits - 1;
-            self.word_base = self.block * SUMMARY_GROUP_WORDS + j;
-            self.current = self.words[self.word_base];
+            self.word += 1;
+            self.current = *self.words.get(self.word)?;
         }
         let bit = self.current.trailing_zeros() as usize;
         self.current &= self.current - 1;
-        Some((self.word_base * WORD_BITS + bit) as VertexId)
+        Some((self.word * WORD_BITS + bit) as VertexId)
     }
 }
 
@@ -640,13 +404,6 @@ impl BitAdjacency {
     pub fn degree(&self, v: VertexId) -> usize {
         self.row(v).iter().map(|w| w.count_ones() as usize).sum()
     }
-
-    /// `|N(v) ∩ set|` — the popcount kernel behind exdeg/indeg updates
-    /// (block-skipping via `set`'s summary).
-    #[inline]
-    pub fn degree_within(&self, v: VertexId, set: &VertexBitset) -> usize {
-        set.intersect_count_words(self.row(v))
-    }
 }
 
 #[cfg(test)]
@@ -666,7 +423,7 @@ mod tests {
         b.remove(64);
         assert!(!b.contains(64));
         assert_eq!(b.to_vec(), vec![0, 63, 127, 128, 129]);
-        assert_eq!(b.num_words(), 3);
+        assert_eq!(b.words().len(), 3);
         assert!(b.canonical());
     }
 
@@ -674,18 +431,14 @@ mod tests {
     fn bitset_kernels() {
         let a = VertexBitset::from_sorted(200, &[1, 5, 70, 130, 199]);
         let b = VertexBitset::from_sorted(200, &[5, 70, 131]);
-        assert_eq!(a.intersect_count(&b), 2);
-        let mut c = a.clone();
-        c.intersect_with(&b);
-        assert_eq!(c.to_vec(), vec![5, 70]);
-        let mut d = a.clone();
-        d.difference_with(&b);
-        assert_eq!(d.to_vec(), vec![1, 130, 199]);
-        assert!(c.is_subset_of(&a));
+        let c = VertexBitset::from_sorted(200, &[5, 70]);
+        assert!(c.is_subset_of(&a) && c.is_subset_of(&b));
         assert!(!a.is_subset_of(&b));
+        assert!(!b.is_subset_of(&a));
+        assert!(a.is_subset_of(&a));
         assert!(VertexBitset::empty(200).is_subset_of(&b));
         assert!(VertexBitset::empty(200).is_empty());
-        assert!(c.canonical() && d.canonical());
+        assert!(!c.is_empty());
     }
 
     #[test]
@@ -703,61 +456,42 @@ mod tests {
     fn fused_kernels_match_composed_primitives() {
         let a = VertexBitset::from_sorted(600, &[0, 5, 64, 300, 511, 599]);
         let b = VertexBitset::from_sorted(600, &[5, 64, 65, 511]);
-        // intersect_popcount == intersect then count.
-        let mut inter = a.clone();
-        inter.intersect_with(&b);
-        assert_eq!(intersect_popcount(a.words(), b.words()), inter.count());
-        // and_not_count == difference then count.
-        let mut diff = a.clone();
-        diff.difference_with(&b);
-        assert_eq!(and_not_count(a.words(), b.words()), diff.count());
-        // difference_is_empty == (and_not_count == 0).
+        let inter = VertexBitset::from_sorted(600, &[5, 64, 511]);
         assert!(!difference_is_empty(a.words(), b.words()));
         assert!(difference_is_empty(inter.words(), a.words()));
-        // Gather over b's active words equals the dense intersect count.
+        // Gather over b's tracked active words equals the intersection size.
         let mut active = Vec::new();
-        b.active_words_into(&mut active);
+        let mut tracked = VertexBitset::empty(600);
+        for v in b.iter() {
+            tracked.insert_tracked(v, &mut active);
+        }
+        assert_eq!(tracked, b);
         assert_eq!(
             gather_intersect_popcount(a.words(), b.words(), &active),
             inter.count()
         );
     }
 
-    /// The packed words `w` as a set over `len · 64` bits, zero-padded
-    /// past `w.len()`.
-    fn padded(w: &[u64], len: usize) -> VertexBitset {
-        let members: Vec<VertexId> = (0..len * WORD_BITS)
-            .filter(|&i| {
-                w.get(i / WORD_BITS)
-                    .is_some_and(|x| x >> (i % WORD_BITS) & 1 == 1)
-            })
-            .map(|i| i as VertexId)
-            .collect();
-        VertexBitset::from_sorted(len * WORD_BITS, &members)
+    /// The members of the packed words `w`, read as a set over
+    /// `0..w.len() · 64`.
+    fn members(w: &[u64]) -> Vec<usize> {
+        (0..w.len() * WORD_BITS)
+            .filter(|&i| w[i / WORD_BITS] >> (i % WORD_BITS) & 1 == 1)
+            .collect()
     }
 
-    /// Checks every fused kernel on the raw slices `(a, b)` against the
-    /// composed set primitives over the zero-padded common universe —
-    /// which is exactly the kernels' unequal-length contract: the
-    /// intersection zip-truncates, and words of `a` past `b` belong to the
-    /// difference.
-    fn assert_fused_matches_composed(a: &[u64], b: &[u64]) {
-        let len = a.len().max(b.len());
-        let (sa, sb) = (padded(a, len), padded(b, len));
-        let mut inter = sa.clone();
-        inter.intersect_with(&sb);
-        let mut diff = sa.clone();
-        diff.difference_with(&sb);
+    /// Checks both kernels on the raw slices `(a, b)` against per-member
+    /// references — which is exactly the kernels' unequal-length contract:
+    /// the intersection zip-truncates, and members of `a` past the end of
+    /// `b` belong to the difference.
+    fn assert_kernels_match_members(a: &[u64], b: &[u64]) {
+        let (ma, mb) = (members(a), members(b));
         let ctx = format!("a.len()={} b.len()={}", a.len(), b.len());
-        assert_eq!(intersect_popcount(a, b), inter.count(), "{ctx}");
-        assert_eq!(and_not_count(a, b), diff.count(), "{ctx}");
-        assert_eq!(difference_is_empty(a, b), diff.is_empty(), "{ctx}");
+        let subset = ma.iter().all(|v| mb.binary_search(v).is_ok());
+        assert_eq!(difference_is_empty(a, b), subset, "{ctx}");
+        let common = ma.iter().filter(|v| mb.binary_search(v).is_ok()).count();
         let idx: Vec<u32> = (0..a.len().min(b.len()) as u32).collect();
-        assert_eq!(
-            gather_intersect_popcount(a, b, &idx),
-            inter.count(),
-            "{ctx}"
-        );
+        assert_eq!(gather_intersect_popcount(a, b, &idx), common, "{ctx}");
     }
 
     #[test]
@@ -765,24 +499,20 @@ mod tests {
         // a longer than b: the tail belongs to the difference.
         let a = [0b1011u64, 0, u64::MAX];
         let b = [0b0011u64];
-        assert_eq!(intersect_popcount(&a, &b), 2);
-        assert_eq!(and_not_count(&a, &b), 1 + 64);
         assert!(!difference_is_empty(&a, &b));
         let zero_tail = [0b0011u64, 0, 0];
         assert!(difference_is_empty(&zero_tail, &b));
         assert!(difference_is_empty(&[], &b));
         for (x, y) in [(&a[..], &b[..]), (&b, &a), (&zero_tail, &b), (&[], &b)] {
-            assert_fused_matches_composed(x, y);
+            assert_kernels_match_members(x, y);
         }
 
         let zero128 = vec![0u64; 128];
         let ones128 = vec![u64::MAX; 128];
         let mut single = vec![0u64; 128];
         single[127] = 1 << 63; // bit 8191: the very last bit of 8192
-        assert_eq!(intersect_popcount(&ones128, &ones128), 8192);
-        assert_eq!(and_not_count(&ones128[..7], &zero128[..3]), 448);
         let cases: [(&[u64], &[u64]); 12] = [
-            // Empty and all-zero operands (all-zero summaries).
+            // Empty and all-zero operands.
             (&[], &[]),
             (&zero128, &ones128),
             (&zero128, &zero128),
@@ -800,29 +530,8 @@ mod tests {
             (&zero128[..3], &ones128[..7]),
         ];
         for (x, y) in cases {
-            assert_fused_matches_composed(x, y);
+            assert_kernels_match_members(x, y);
         }
-    }
-
-    #[test]
-    fn summary_tracks_mutations() {
-        let mut b = VertexBitset::empty(1024); // 16 words, 2 summary blocks
-        assert_eq!(b.num_blocks(), 2);
-        assert!(b.is_empty());
-        b.insert(700); // word 10 → block 1
-        assert_eq!(b.summary()[0], 0);
-        assert_ne!(b.summary()[1], 0);
-        let mut active = Vec::new();
-        let scan = b.active_words_into(&mut active);
-        assert_eq!(active, vec![10]);
-        assert_eq!(scan.blocks_skipped, 1);
-        assert_eq!(scan.words_examined, 8);
-        b.remove(700);
-        assert!(b.is_empty());
-        assert!(b.canonical());
-        let scan = b.active_words_into(&mut active);
-        assert!(active.is_empty());
-        assert_eq!(scan.blocks_skipped, 2);
     }
 
     #[test]
@@ -846,8 +555,9 @@ mod tests {
             }
         }
         let set = VertexBitset::from_sorted(70, &[1, 5, 69]);
-        assert_eq!(adj.degree_within(0, &set), 2);
-        assert_eq!(adj.degree_within(64, &set), 2);
+        let within = |v| gather_intersect_popcount(adj.row(v), set.words(), adj.row_active(v));
+        assert_eq!(within(0), 2);
+        assert_eq!(within(64), 2);
     }
 
     #[test]
@@ -869,6 +579,7 @@ mod tests {
         let b = VertexBitset::empty(0);
         assert_eq!(b.count(), 0);
         assert_eq!(b.iter().count(), 0);
+        assert!(b.is_empty());
         assert!(b.canonical());
         let adj = BitAdjacency::from_csr(&CsrGraph::empty(0));
         assert_eq!(adj.num_vertices(), 0);

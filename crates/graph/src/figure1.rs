@@ -4,7 +4,7 @@
 //!
 //! The paper draws the graph but does not list its edges; this module
 //! contains a reconstruction that satisfies every constraint stated in the
-//! text (see DESIGN.md):
+//! text:
 //!
 //! * `{3,4,5,6}` is a clique (the 1-quasi-clique of Figure 1(c)),
 //! * `{6,...,11}` is a 0.6-quasi-clique of size 6 (Figure 1(d)),

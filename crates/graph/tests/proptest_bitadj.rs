@@ -4,11 +4,12 @@
 //! `extract`, and the galloping tidset intersection must match the naive
 //! k-way merge.
 
+use std::collections::BTreeSet;
+
 use proptest::prelude::*;
 use scpm_graph::attributed::{AttributedGraph, AttributedGraphBuilder};
 use scpm_graph::bitadj::{
-    and_not_count, difference_is_empty, gather_intersect_popcount, intersect_popcount,
-    BitAdjacency, VertexBitset, SUMMARY_GROUP_WORDS,
+    difference_is_empty, gather_intersect_popcount, words_for, BitAdjacency, VertexBitset,
 };
 use scpm_graph::builder::GraphBuilder;
 use scpm_graph::csr::{intersect_adaptive_into, intersect_count, intersect_into, CsrGraph};
@@ -65,9 +66,9 @@ fn attributed_graph() -> impl Strategy<Value = AttributedGraph> {
     })
 }
 
+// Case count follows `PROPTEST_CASES` (default 256), so the release-mode
+// CI step can run these properties wider than the debug test pass.
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
     #[test]
     fn bit_adjacency_agrees_with_csr(g in random_graph()) {
         let adj = BitAdjacency::from_csr(&g);
@@ -89,15 +90,12 @@ proptest! {
         prop_assert_eq!(bits.to_vec(), set.clone());
         let adj = BitAdjacency::from_csr(&g);
         for u in 0..n as u32 {
-            // Popcount row ∧ set must equal the sorted-slice merge count.
+            // Popcount row ∧ set over the row's active words must equal
+            // the sorted-slice merge count.
             prop_assert_eq!(
-                adj.degree_within(u, &bits),
+                gather_intersect_popcount(adj.row(u), bits.words(), adj.row_active(u)),
                 intersect_count(g.neighbors(u), &set),
-                "degree_within of {}", u
-            );
-            prop_assert_eq!(
-                bits.intersect_count_words(adj.row(u)),
-                g.degree_within(u, &set)
+                "degree within the set of {}", u
             );
         }
     }
@@ -106,143 +104,143 @@ proptest! {
     fn bitset_set_algebra_matches_reference(a in subset_of(100), b in subset_of(100)) {
         let ba = VertexBitset::from_sorted(100, &a);
         let bb = VertexBitset::from_sorted(100, &b);
+        prop_assert_eq!(ba.to_vec(), a.clone());
+        prop_assert_eq!(ba.count(), a.len());
+        prop_assert_eq!(ba.is_empty(), a.is_empty());
         let mut expect_and = Vec::new();
         intersect_into(&a, &b, &mut expect_and);
-        prop_assert_eq!(ba.intersect_count(&bb), expect_and.len());
-        let mut inter = ba.clone();
-        inter.intersect_with(&bb);
-        prop_assert_eq!(inter.to_vec(), expect_and.clone());
-        let mut diff = ba.clone();
-        diff.difference_with(&bb);
-        let expect_diff: Vec<u32> = a.iter().copied().filter(|v| !b.contains(v)).collect();
-        prop_assert_eq!(diff.to_vec(), expect_diff);
+        let inter = VertexBitset::from_sorted(100, &expect_and);
         let is_subset = a.iter().all(|v| b.contains(v));
         prop_assert_eq!(ba.is_subset_of(&bb), is_subset);
-        prop_assert!(inter.is_subset_of(&ba));
+        prop_assert!(inter.is_subset_of(&ba) && inter.is_subset_of(&bb));
+        for v in 0..100u32 {
+            prop_assert_eq!(ba.contains(v), a.contains(&v), "member {}", v);
+        }
     }
 
-    /// Every fused kernel must equal its compose-of-primitives reference
-    /// across random densities: `intersect_popcount` == intersect then
-    /// count, `and_not_count` == difference then count,
-    /// `difference_is_empty` == (difference count == 0), and the gathered
-    /// variant restricted to either operand's active words == the dense
-    /// result.
+    /// Both kernels the search runs must equal their per-member
+    /// references across random densities: `difference_is_empty` ==
+    /// "every member of `a` is in `b`", and the gather restricted to
+    /// either operand's tracked active words == `|a ∩ b|`.
     #[test]
     fn fused_kernels_equal_composed_primitives(
         a in subset_of(700),
         b in subset_of(700),
     ) {
-        let n = 700; // 11 words → several summary groups, ragged tail
-        let ba = VertexBitset::from_sorted(n, &a);
-        let bb = VertexBitset::from_sorted(n, &b);
+        let n = 700; // 11 words: two 4-word blocks and a ragged tail
+        let (mut ba, mut bb) = (VertexBitset::empty(n), VertexBitset::empty(n));
+        let (mut active_a, mut active_b) = (Vec::new(), Vec::new());
+        for &v in &a {
+            ba.insert_tracked(v, &mut active_a);
+        }
+        for &v in &b {
+            bb.insert_tracked(v, &mut active_b);
+        }
+        let mut inter = Vec::new();
+        intersect_into(&a, &b, &mut inter);
 
-        let mut inter = ba.clone();
-        inter.intersect_with(&bb);
-        prop_assert_eq!(intersect_popcount(ba.words(), bb.words()), inter.count());
-        prop_assert_eq!(ba.intersect_count(&bb), inter.count());
-
-        let mut diff = ba.clone();
-        diff.difference_with(&bb);
-        prop_assert_eq!(and_not_count(ba.words(), bb.words()), diff.count());
         prop_assert_eq!(
             difference_is_empty(ba.words(), bb.words()),
-            and_not_count(ba.words(), bb.words()) == 0
+            inter.len() == a.len()
         );
-        prop_assert_eq!(ba.is_subset_of(&bb), diff.count() == 0);
-
-        // Gather over either operand's active words sees the whole
-        // intersection.
-        let mut active = Vec::new();
-        bb.active_words_into(&mut active);
+        prop_assert_eq!(ba.is_subset_of(&bb), inter.len() == a.len());
         prop_assert_eq!(
-            gather_intersect_popcount(ba.words(), bb.words(), &active),
-            inter.count()
+            gather_intersect_popcount(ba.words(), bb.words(), &active_b),
+            inter.len()
         );
-        ba.active_words_into(&mut active);
         prop_assert_eq!(
-            gather_intersect_popcount(ba.words(), bb.words(), &active),
-            inter.count()
+            gather_intersect_popcount(ba.words(), bb.words(), &active_a),
+            inter.len()
         );
     }
 
-    /// The summary hierarchy stays consistent with the data words under
-    /// arbitrary interleavings of insert / tracked insert / remove /
-    /// intersect / difference / clear_active, and the active-word list
-    /// built by tracked insertion covers exactly the nonzero words.
+    /// Random sequences of `insert`, `insert_tracked`, `remove` and
+    /// `clear_active` keep the set canonical and equal to a `BTreeSet`
+    /// reference. The active-word list always covers every nonzero word,
+    /// so `clear_active` empties the set; until a `remove` empties a
+    /// listed word it is exactly the nonzero words, each once — the
+    /// contract `gather_intersect_popcount` relies on. (Plain `insert`
+    /// does not track; the harness lists its newly nonzero words itself.)
     #[test]
-    fn summary_consistent_under_mutation(
-        inserts in subset_of(700),
-        removes in subset_of(700),
-        other in subset_of(700),
-        pick_op in 0u8..3,
+    fn mutation_sequences_match_btreeset(
+        n in 1usize..=700,
+        ops in proptest::collection::vec((0u8..4, 0u32..700), 0..200),
     ) {
-        let n = 700;
         let mut bits = VertexBitset::empty(n);
-        let mut tracked = Vec::new();
-        for &v in &inserts {
-            bits.insert_tracked(v, &mut tracked);
-        }
-        prop_assert!(bits.canonical());
-        // Tracked words = exactly the nonzero words.
-        let mut scanned = Vec::new();
-        let scan = bits.active_words_into(&mut scanned);
-        let mut sorted_tracked = tracked.clone();
-        sorted_tracked.sort_unstable();
-        prop_assert_eq!(&sorted_tracked, &scanned);
-        prop_assert_eq!(
-            scan.blocks_skipped,
-            bits.summary().iter().filter(|&&s| s == 0).count()
-        );
-
-        for &v in &removes {
-            bits.remove(v);
-        }
-        prop_assert!(bits.canonical());
-        let ob = VertexBitset::from_sorted(n, &other);
-        match pick_op {
-            0 => bits.intersect_with(&ob),
-            1 => bits.difference_with(&ob),
-            _ => {}
-        }
-        prop_assert!(bits.canonical());
-        // Reference membership survives the op pipeline.
-        let expect: Vec<u32> = (0..n as u32)
-            .filter(|v| {
-                let mut m = inserts.contains(v) && !removes.contains(v);
-                match pick_op {
-                    0 => m = m && other.contains(v),
-                    1 => m = m && !other.contains(v),
-                    _ => {}
-                }
-                m
-            })
-            .collect();
-        prop_assert_eq!(bits.to_vec(), expect);
-        // clear_active over a full scan empties the set.
         let mut active = Vec::new();
-        bits.active_words_into(&mut active);
-        bits.clear_active(&mut active);
-        prop_assert!(bits.is_empty() && bits.canonical());
-        prop_assert_eq!(bits.count(), 0);
+        let mut reference = BTreeSet::new();
+        let mut removed_since_clear = false;
+        for (op, v) in ops {
+            let v = v % n as u32;
+            let wi = v as usize / 64;
+            match op {
+                0 => {
+                    if bits.words()[wi] == 0 {
+                        active.push(wi as u32);
+                    }
+                    bits.insert(v);
+                    reference.insert(v);
+                }
+                1 => {
+                    bits.insert_tracked(v, &mut active);
+                    reference.insert(v);
+                }
+                2 => {
+                    bits.remove(v);
+                    reference.remove(&v);
+                    removed_since_clear = true;
+                }
+                _ => {
+                    bits.clear_active(&mut active);
+                    prop_assert!(active.is_empty());
+                    reference.clear();
+                    removed_since_clear = false;
+                }
+            }
+            prop_assert!(bits.canonical());
+            prop_assert_eq!(bits.universe(), n);
+            let members: Vec<u32> = reference.iter().copied().collect();
+            prop_assert_eq!(bits.iter().collect::<Vec<_>>(), members);
+            prop_assert_eq!(bits.count(), reference.len());
+            prop_assert_eq!(bits.is_empty(), reference.is_empty());
+            for u in [0, v, n as u32 - 1] {
+                prop_assert_eq!(bits.contains(u), reference.contains(&u));
+            }
+            let nonzero: Vec<u32> = (0..bits.words().len() as u32)
+                .filter(|&i| bits.words()[i as usize] != 0)
+                .collect();
+            let mut listed = active.clone();
+            listed.sort_unstable();
+            if removed_since_clear {
+                listed.dedup();
+                prop_assert!(
+                    nonzero.iter().all(|w| listed.binary_search(w).is_ok()),
+                    "nonzero words {:?} not all listed in {:?}", nonzero, listed
+                );
+            } else {
+                prop_assert_eq!(&listed, &nonzero);
+            }
+        }
+        prop_assert_eq!(bits.words().len(), words_for(n));
     }
 
     /// `BitAdjacency::row_active` lists exactly the nonzero words of each
-    /// row, and a gather restricted to it reproduces the dense
-    /// intersection count (8-word groups: [`SUMMARY_GROUP_WORDS`]).
+    /// row, and a gather restricted to it reproduces the per-member
+    /// intersection count.
     #[test]
     fn row_active_lists_match_rows(g in random_graph(), raw in subset_of(80)) {
         let n = g.num_vertices();
         let set: Vec<u32> = raw.into_iter().filter(|&v| (v as usize) < n).collect();
         let bits = VertexBitset::from_sorted(n, &set);
         let adj = BitAdjacency::from_csr(&g);
-        prop_assert!(bits.num_blocks() == bits.num_words().div_ceil(SUMMARY_GROUP_WORDS));
         for u in 0..n as u32 {
             let row = adj.row(u);
             let expect: Vec<u32> = (0..row.len() as u32).filter(|&wi| row[wi as usize] != 0).collect();
             prop_assert_eq!(adj.row_active(u), &expect[..], "row {}", u);
+            let within = set.iter().filter(|&&v| adj.has_edge(u, v)).count();
             prop_assert_eq!(
                 gather_intersect_popcount(row, bits.words(), adj.row_active(u)),
-                intersect_popcount(row, bits.words()),
+                within,
                 "gather over row {}", u
             );
         }

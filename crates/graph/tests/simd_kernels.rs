@@ -1,28 +1,18 @@
-//! Kernel edge-case suite: the blocked word kernels against a
+//! Kernel edge-case suite: the packed-word kernels the search runs
+//! (`difference_is_empty`, `gather_intersect_popcount`) against a
 //! word-at-a-time reference on adversarial word patterns — tail masks,
-//! all-zero summaries, single-bit rows, unequal slice lengths, and
-//! ≥ 8192-bit sets (past the 4-word blocking and the 8-word summary
-//! grouping).
+//! all-zero words, single-bit rows, unequal slice lengths, and ≥ 8192-bit
+//! sets (past the 4-word blocking).
 //!
 //! The reference reads a missing word as zero, so over unequal lengths
-//! the intersection zip-truncates and the words of `a` past the end of
-//! `b` belong to the difference.
+//! the words of `a` past the end of `b` belong to the difference.
 
 use proptest::prelude::*;
-use scpm_graph::bitadj::{
-    and_not_count, difference_is_empty, gather_intersect_popcount, intersect_popcount,
-};
+use scpm_graph::bitadj::{difference_is_empty, gather_intersect_popcount};
 
 /// Word `i` of `s`, zero past its end.
 fn at(s: &[u64], i: usize) -> u64 {
     s.get(i).copied().unwrap_or(0)
-}
-
-/// Reference `|a ∩ b|`, one word at a time.
-fn ref_intersect(a: &[u64], b: &[u64]) -> usize {
-    (0..a.len().max(b.len()))
-        .map(|i| (at(a, i) & at(b, i)).count_ones() as usize)
-        .sum()
 }
 
 /// Reference `|a \ b|`, one word at a time.
@@ -33,7 +23,7 @@ fn ref_and_not(a: &[u64], b: &[u64]) -> usize {
 }
 
 /// One word drawn from the adversarial corners, not just uniform bits:
-/// all-zero (empty summaries), all-one, single-bit, low/high tail masks,
+/// all-zero, all-one, single-bit, low/high tail masks,
 /// and uniform random.
 fn word() -> impl Strategy<Value = u64> {
     prop_oneof![
@@ -48,8 +38,8 @@ fn word() -> impl Strategy<Value = u64> {
     ]
 }
 
-/// Word slices long enough to leave the 4-word blocks and 8-word summary
-/// groups behind: up to 160 words = 10240 bits.
+/// Word slices long enough to leave the 4-word blocks far behind: up to
+/// 160 words = 10240 bits.
 fn words(max_len: usize) -> impl Strategy<Value = Vec<u64>> {
     proptest::collection::vec(word(), 0..=max_len)
 }
@@ -57,21 +47,10 @@ fn words(max_len: usize) -> impl Strategy<Value = Vec<u64>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// `|a ∩ b|` — including unequal lengths (zip-truncation).
-    #[test]
-    fn intersect_popcount_backends_agree(a in words(160), b in words(160)) {
-        prop_assert_eq!(intersect_popcount(&a, &b), ref_intersect(&a, &b));
-    }
-
-    /// `|a \ b|` — words of `a` beyond `b`'s length count into the
-    /// difference, so the tail handling differs from plain truncation.
-    #[test]
-    fn and_not_count_backends_agree(a in words(160), b in words(160)) {
-        prop_assert_eq!(and_not_count(&a, &b), ref_and_not(&a, &b));
-    }
-
     /// `a ⊆ b` — the early-exit kernel; equivalence with the counting
-    /// reference pins the short-circuit against the full scan.
+    /// reference pins the short-circuit against the full scan. Words of
+    /// `a` beyond `b`'s length belong to the difference, so the tail
+    /// handling differs from plain truncation.
     #[test]
     fn difference_is_empty_backends_agree(a in words(160), b in words(160)) {
         prop_assert_eq!(difference_is_empty(&a, &b), ref_and_not(&a, &b) == 0);
@@ -107,27 +86,28 @@ proptest! {
 
 /// Directed corners the generators only hit probabilistically: empty
 /// slices, the exact 4-word block boundary, the exact 8192-bit universe,
-/// and all-zero operands (all-zero summaries).
+/// and all-zero operands.
 #[test]
 fn kernel_corner_cases() {
     let zero128 = vec![0u64; 128];
     let ones128 = vec![u64::MAX; 128];
     let mut single = vec![0u64; 128];
     single[127] = 1 << 63; // bit 8191: the very last bit of 8192
-    assert_eq!(intersect_popcount(&[], &[]), 0);
-    assert_eq!(intersect_popcount(&zero128, &ones128), 0);
-    assert_eq!(intersect_popcount(&ones128, &ones128), 8192);
-    assert_eq!(intersect_popcount(&single, &ones128), 1);
-    assert_eq!(and_not_count(&ones128, &zero128), 8192);
-    assert_eq!(and_not_count(&ones128, &[]), 8192);
-    assert_eq!(and_not_count(&single, &ones128), 0);
+    let all: Vec<u32> = (0..128).collect();
+    assert_eq!(gather_intersect_popcount(&zero128, &ones128, &all), 0);
+    assert_eq!(gather_intersect_popcount(&ones128, &ones128, &all), 8192);
+    assert_eq!(gather_intersect_popcount(&single, &ones128, &all), 1);
+    assert!(!difference_is_empty(&ones128, &zero128));
+    assert!(!difference_is_empty(&ones128, &[]));
+    assert!(difference_is_empty(&[], &[]));
     assert!(difference_is_empty(&zero128, &zero128));
     assert!(difference_is_empty(&single, &ones128));
     assert!(!difference_is_empty(&single, &zero128));
     assert!(!difference_is_empty(&single, &[]));
     // Exactly one 4-word block, then a 3-word tail.
-    assert_eq!(intersect_popcount(&ones128[..7], &ones128[..7]), 448);
-    assert_eq!(and_not_count(&ones128[..7], &zero128[..3]), 448);
+    assert!(difference_is_empty(&ones128[..7], &ones128[..7]));
+    assert!(!difference_is_empty(&ones128[..7], &zero128[..3]));
+    assert!(difference_is_empty(&zero128[..7], &ones128[..3]));
     assert_eq!(gather_intersect_popcount(&single, &ones128, &[127, 127]), 2);
     assert_eq!(gather_intersect_popcount(&ones128, &ones128, &[]), 0);
 }

@@ -42,9 +42,7 @@ use crate::bounds::{candidate_feasible_in, critical_member, extension_interval, 
 use crate::config::{QcConfig, Representation};
 use crate::node::{candidate_feasible, member_feasible, SearchNode};
 use crate::reduce::reduce_vertices;
-use scpm_graph::bitadj::{
-    difference_is_empty, gather_intersect_popcount, BitAdjacency, VertexBitset,
-};
+use scpm_graph::bitadj::{gather_intersect_popcount, BitAdjacency, VertexBitset};
 use scpm_graph::csr::{CsrGraph, VertexId};
 use scpm_graph::induced::{InducedSubgraph, RankMap};
 
@@ -152,9 +150,10 @@ pub struct SearchStats {
     /// plus the packed containment filter's subset checks (which run —
     /// and count — identically under both representations).
     pub fused_ops: u64,
-    /// 8-word blocks skipped thanks to the `VertexBitset` summary
-    /// hierarchy (currently the containment filter's summary fast-reject)
-    /// — data words the unsummarized kernels of PR 4 would have touched.
+    /// Always 0: nothing increments it since the `VertexBitset` summary
+    /// hierarchy (and the containment filter's summary fast-reject that
+    /// counted here) was removed. Kept so the `qc_blocks_skipped` stats
+    /// field and its `/mine` JSON key stay stable.
     pub blocks_skipped: u64,
     /// Point probes the batched row-AND promotion kernels answered in
     /// bulk instead — exactly the `edge_tests` the slice path performs at
@@ -492,13 +491,10 @@ impl<'g> Miner<'g> {
 ///
 /// Sets are visited largest-first, so a set can only ever be contained in
 /// an already-kept one; each containment test is a fused packed-word
-/// subset check ([`difference_is_empty`], blocked with per-block early
-/// exit) against the kept sets' bitsets instead of an `O(m)` sorted-slice
-/// merge — preceded by the same check over the one-word-per-8-words
-/// *summaries*, which disproves containment in `⌈n/512⌉` ops whenever the
-/// probe occupies a word the kept set leaves empty. Output order
-/// (descending size, then lexicographic) is unchanged from the slice
-/// implementation.
+/// subset check ([`VertexBitset::is_subset_of`], blocked with per-block
+/// early exit) against the kept sets' bitsets instead of an `O(m)`
+/// sorted-slice merge. Output order (descending size, then lexicographic)
+/// is unchanged from the slice implementation.
 fn containment_filter(
     mut sets: Vec<Vec<VertexId>>,
     n: usize,
@@ -516,13 +512,6 @@ fn containment_filter(
         }
         let contained = kept_bits.iter().any(|bigger| {
             stats.fused_ops += 1;
-            // Summary fast-reject: a nonzero probe word over an empty
-            // kept word disproves containment without touching the data
-            // words (counted as every 8-word block skipped).
-            if !difference_is_empty(probe.summary(), bigger.summary()) {
-                stats.blocks_skipped += probe.num_blocks() as u64;
-                return false;
-            }
             probe.is_subset_of(bigger)
         });
         if contained {
@@ -770,8 +759,8 @@ impl<'a> Ctx<'a> {
     }
 
     /// Applies one candidate-filter round on the bitset path without a
-    /// full exdeg recomputation: packs the dropped candidates, lists their
-    /// nonzero words via the summary hierarchy, and subtracts
+    /// full exdeg recomputation: packs the dropped candidates (tracking
+    /// their nonzero words as it goes), and subtracts
     /// `|N(·) ∩ removed|` from every surviving exdeg with a gathered fused
     /// kernel. The resulting values are identical to a recomputation
     /// against the filtered candidate set (exdegs are sums over disjoint

@@ -37,64 +37,6 @@ pub fn reduce_vertices(g: &CsrGraph, cfg: &QcConfig) -> Vec<VertexId> {
     (0..n as VertexId).filter(|&v| alive[v as usize]).collect()
 }
 
-/// Splits a sorted vertex set into connected components (restricted to
-/// edges inside the set). Searching per component avoids carrying dead
-/// candidates across components.
-pub fn components_within(g: &CsrGraph, set: &[VertexId]) -> Vec<Vec<VertexId>> {
-    let mut index = std::collections::HashMap::with_capacity(set.len());
-    for (i, &v) in set.iter().enumerate() {
-        index.insert(v, i);
-    }
-    let mut seen = vec![false; set.len()];
-    let mut out = Vec::new();
-    let mut stack = Vec::new();
-    for start in 0..set.len() {
-        if seen[start] {
-            continue;
-        }
-        seen[start] = true;
-        stack.push(start);
-        let mut comp = Vec::new();
-        while let Some(i) = stack.pop() {
-            comp.push(set[i]);
-            for &u in g.neighbors(set[i]) {
-                if let Some(&j) = index.get(&u) {
-                    if !seen[j] {
-                        seen[j] = true;
-                        stack.push(j);
-                    }
-                }
-            }
-        }
-        comp.sort_unstable();
-        out.push(comp);
-    }
-    out
-}
-
-/// The set of vertices within distance ≤ 2 of `v` in `g` (including `v`).
-///
-/// For `γ ≥ 0.5` every γ-quasi-clique has diameter at most 2 (Pei et al.,
-/// KDD 2005), so candidates farther than 2 hops from a chosen seed can be
-/// discarded.
-pub fn within_two_hops(g: &CsrGraph, v: VertexId) -> Vec<VertexId> {
-    let mut mark = vec![false; g.num_vertices()];
-    mark[v as usize] = true;
-    for &u in g.neighbors(v) {
-        mark[u as usize] = true;
-        // Second hop.
-    }
-    let first: Vec<VertexId> = g.neighbors(v).to_vec();
-    for u in first {
-        for &w in g.neighbors(u) {
-            mark[w as usize] = true;
-        }
-    }
-    (0..g.num_vertices() as VertexId)
-        .filter(|&w| mark[w as usize])
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,30 +63,5 @@ mod tests {
         let g = graph_from_edges(3, [(0, 1)]);
         let cfg = QcConfig::new(0.5, 1); // z = 0
         assert_eq!(reduce_vertices(&g, &cfg), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn components_split() {
-        let g = graph_from_edges(6, [(0, 1), (1, 2), (3, 4)]);
-        let comps = components_within(&g, &[0, 1, 2, 3, 4, 5]);
-        let mut sizes: Vec<usize> = comps.iter().map(Vec::len).collect();
-        sizes.sort_unstable();
-        assert_eq!(sizes, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn components_respect_subset() {
-        // 0-1-2 path: restricting to {0, 2} disconnects them.
-        let g = graph_from_edges(3, [(0, 1), (1, 2)]);
-        let comps = components_within(&g, &[0, 2]);
-        assert_eq!(comps.len(), 2);
-    }
-
-    #[test]
-    fn two_hop_neighborhood() {
-        // Star-path: 0-1, 1-2, 2-3, 3-4.
-        let g = graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)]);
-        assert_eq!(within_two_hops(&g, 0), vec![0, 1, 2]);
-        assert_eq!(within_two_hops(&g, 2), vec![0, 1, 2, 3, 4]);
     }
 }
