@@ -66,6 +66,13 @@ fn engine_flag_variants() -> Vec<(&'static str, PruneFlags)> {
                 ..all
             },
         ),
+        (
+            "no_witnesses",
+            PruneFlags {
+                witnesses: false,
+                ..all
+            },
+        ),
     ]
 }
 

@@ -9,7 +9,7 @@
 //! every length and count behind it:
 //!
 //! ```text
-//! "SCPMMEMO" u32 version=2
+//! "SCPMMEMO" u32 version=3
 //! u64 params_fingerprint        fingerprint(ScpmParams), see below
 //! u64 graph_fingerprint         fnv1a64(snapshot::encode(graph))
 //! u64 entries                   then entries × record, keys ascending
@@ -36,6 +36,12 @@
 //! any more; replaying a v1 record would add the old build's value back
 //! into `qc_blocks_skipped`. A v1 memo therefore decodes as
 //! [`MemoError::BadVersion`], which recovery treats as "no usable memo".
+//!
+//! Version 3 has the version 2 layout. The bump marks the greedy witness
+//! pass before each coverage search: it lowers the coverage counters a
+//! record carries, so a v2 record would replay the old build's counters
+//! into a mine that no longer produces them. A v2 memo is refused the
+//! same way.
 
 use std::collections::HashMap;
 
@@ -50,7 +56,7 @@ use crate::params::ScpmParams;
 const MAGIC: &[u8; 8] = b"SCPMMEMO";
 
 /// Current memo file format version.
-pub const VERSION: u32 = 2;
+pub const VERSION: u32 = 3;
 
 /// Number of `u64` counters a [`SearchStats`] serializes to (every field
 /// but the always-0 `blocks_skipped`).
@@ -130,7 +136,7 @@ impl From<std::io::Error> for MemoError {
 /// records carry ε values, covered sets, and search counters that are
 /// functions of the parameters.
 pub fn params_fingerprint(params: &ScpmParams) -> u64 {
-    let mut buf = Vec::with_capacity(26 * 8);
+    let mut buf = Vec::with_capacity(27 * 8);
     let mut word = |w: u64| buf.extend_from_slice(&w.to_le_bytes());
     word(params.sigma_min as u64);
     word(params.quasi_clique.gamma.to_bits());
@@ -154,6 +160,7 @@ pub fn params_fingerprint(params: &ScpmParams) -> u64 {
     word(params.qc_prune.lookahead as u64);
     word(params.qc_prune.covered_candidate as u64);
     word(params.qc_prune.diameter2 as u64);
+    word(params.qc_prune.witnesses as u64);
     // The representation never changes *results*, but memo records
     // carry representation-dependent kernel counters (edge_tests,
     // probes_elided, …) that feed the served /stats payload; replaying
@@ -493,6 +500,9 @@ mod tests {
             fp,
             params_fingerprint(&base.clone().with_order(SearchOrder::Bfs))
         );
+        let mut no_witnesses = base.clone();
+        no_witnesses.qc_prune.witnesses = false;
+        assert_ne!(fp, params_fingerprint(&no_witnesses));
     }
 
     #[test]
@@ -526,15 +536,28 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn version_1_memo_is_rejected() {
+    /// A well-formed memo whose header claims `version`, checksum resealed.
+    fn memo_with_version(version: u32) -> Vec<u8> {
         let (memo, params) = sample_memo();
         let mut bytes = encode_memo(&memo, params_fingerprint(&params), 1);
-        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        bytes[8..12].copy_from_slice(&version.to_le_bytes());
         let body = bytes.len() - 8;
         let sum = fnv1a64(&bytes[..body]).to_le_bytes();
         bytes[body..].copy_from_slice(&sum);
+        bytes
+    }
+
+    #[test]
+    fn version_1_memo_is_rejected() {
+        let bytes = memo_with_version(1);
         assert_eq!(decode_memo(&bytes).unwrap_err(), MemoError::BadVersion(1));
+    }
+
+    #[test]
+    fn version_2_memo_is_rejected() {
+        // v2 records carry coverage counters from before the witness pass.
+        let bytes = memo_with_version(2);
+        assert_eq!(decode_memo(&bytes).unwrap_err(), MemoError::BadVersion(2));
     }
 
     #[test]

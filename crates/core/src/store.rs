@@ -792,16 +792,15 @@ mod tests {
         );
     }
 
-    #[test]
-    fn version_1_memo_degrades_to_recording_mine() {
-        // A memo written before the format dropped `blocks_skipped` must
-        // not replay that counter: recovery refuses it and the recording
-        // mine reproduces a fresh mine exactly, counters included.
-        let dir = tdir("v1memo");
+    /// Rewrites the seeded memo's header to `version` (checksum resealed)
+    /// and checks that recovery refuses it with a note, and that the
+    /// recording mine after it equals a fresh mine, counters included.
+    fn stale_memo_degrades_to_recording_mine(name: &str, version: u32) -> ScpmResult {
+        let dir = tdir(name);
         let (graph, params, _writer) = seed(&dir);
         let memo_path = dir.memo_path(0);
         let mut bytes = std::fs::read(&memo_path).unwrap();
-        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        bytes[8..12].copy_from_slice(&version.to_le_bytes());
         let body = bytes.len() - 8;
         let sum = fnv1a64(&bytes[..body]).to_le_bytes();
         bytes[body..].copy_from_slice(&sum);
@@ -810,7 +809,10 @@ mod tests {
         let state = recover(&dir).unwrap();
         assert!(state.memo.is_none());
         let note = state.memo_note.clone().unwrap();
-        assert!(note.contains("unsupported memo version 1"), "{note}");
+        assert!(
+            note.contains(&format!("unsupported memo version {version}")),
+            "{note}"
+        );
         let mine = replay_mine(state, &params, &ParallelConfig::new(1)).unwrap();
         assert!(!mine.memo_replayed);
         let full = full_mine(&graph, &params);
@@ -822,7 +824,22 @@ mod tests {
         got.elapsed = Default::default();
         want.elapsed = Default::default();
         assert_eq!(got, want);
-        assert_eq!(got.qc_blocks_skipped, 0);
+        mine.result
+    }
+
+    #[test]
+    fn version_1_memo_degrades_to_recording_mine() {
+        // A memo written before the format dropped `blocks_skipped` must
+        // not replay that counter.
+        let result = stale_memo_degrades_to_recording_mine("v1memo", 1);
+        assert_eq!(result.stats.qc_blocks_skipped, 0);
+    }
+
+    #[test]
+    fn version_2_memo_degrades_to_recording_mine() {
+        // A memo written before the greedy witness pass carries coverage
+        // counters a fresh mine no longer produces; it must not replay.
+        stale_memo_degrades_to_recording_mine("v2memo", 2);
     }
 
     #[test]

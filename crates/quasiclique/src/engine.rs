@@ -33,6 +33,8 @@
 //! * lookahead: if `X ∪ cands` is itself a quasi-clique the subtree
 //!   collapses to a single emission,
 //! * diameter-2 candidate restriction for `γ ≥ 0.5`,
+//! * greedy witnesses (coverage mode): before the search, greedily peeled
+//!   quasi-cliques pre-cover part of `K` ([`crate::witness`]),
 //! * covered-candidate subtree pruning (coverage mode),
 //! * size-bound subtree pruning (top-k mode).
 
@@ -42,6 +44,7 @@ use crate::bounds::{candidate_feasible_in, critical_member, extension_interval, 
 use crate::config::{QcConfig, Representation};
 use crate::node::{candidate_feasible, member_feasible, SearchNode};
 use crate::reduce::reduce_vertices;
+use crate::witness::{self, WitnessScratch};
 use scpm_graph::bitadj::{gather_intersect_popcount, BitAdjacency, VertexBitset};
 use scpm_graph::csr::{CsrGraph, VertexId};
 use scpm_graph::induced::{InducedSubgraph, RankMap};
@@ -80,6 +83,10 @@ pub struct PruneFlags {
     pub covered_candidate: bool,
     /// Candidate restriction to the seed's two-hop neighborhood (γ ≥ 0.5).
     pub diameter2: bool,
+    /// Greedy witness pass before the search (coverage mode): vertices of
+    /// greedily peeled quasi-cliques start out covered, so the
+    /// covered-candidate rule fires from the root ([`crate::witness`]).
+    pub witnesses: bool,
 }
 
 impl Default for PruneFlags {
@@ -92,6 +99,7 @@ impl Default for PruneFlags {
             lookahead: true,
             covered_candidate: true,
             diameter2: true,
+            witnesses: true,
         }
     }
 }
@@ -107,6 +115,7 @@ impl PruneFlags {
             lookahead: false,
             covered_candidate: false,
             diameter2: false,
+            witnesses: false,
         }
     }
 }
@@ -144,6 +153,8 @@ pub struct SearchStats {
     /// `u64` words touched by bitset kernels. The hardware-independent
     /// cost figure `exp_perf` tracks when comparing
     /// [`Representation::Slice`] against [`Representation::Bitset`].
+    /// The greedy witness pass is excluded: it runs identically under
+    /// both representations and is not part of the search hot loops.
     pub kernel_ops: u64,
     /// Fused single-pass kernel invocations: gathered exdeg popcounts,
     /// and-not scans, and incremental exdeg updates on the bitset path,
@@ -288,6 +299,8 @@ pub struct EngineScratch {
     /// Rank scratch for re-extracting the reduced survivors (kept
     /// all-sentinel between runs, so `reset` leaves it alone).
     ranks: RankMap,
+    /// Buffers of the greedy witness pass (it resets them itself).
+    witness: WitnessScratch,
 }
 
 impl EngineScratch {
@@ -423,9 +436,20 @@ impl<'g> Miner<'g> {
         } else {
             scratch.adj.clear();
         }
+        let witnessed = if mode == MiningMode::Coverage && self.prune.witnesses {
+            witness::cover(
+                &sub.graph,
+                &self.cfg,
+                &mut scratch.witness,
+                &mut scratch.covered,
+            )
+        } else {
+            0
+        };
         let mut ctx = Ctx::new(
             &sub.graph, self.cfg, self.prune, self.order, mode, bits_on, scratch,
         );
+        ctx.remaining -= witnessed;
         ctx.search(&mut stats);
         let Ctx { emitted, .. } = ctx;
 
@@ -1709,10 +1733,10 @@ mod tests {
         v
     }
 
-    /// Every 2^7 combination of the pruning switches.
+    /// Every 2^8 combination of the pruning switches.
     fn all_flag_combinations() -> Vec<PruneFlags> {
         let mut out = Vec::new();
-        for bits in 0u32..128 {
+        for bits in 0u32..256 {
             out.push(PruneFlags {
                 feasibility: bits & 1 != 0,
                 bounds: bits & 2 != 0,
@@ -1721,6 +1745,7 @@ mod tests {
                 lookahead: bits & 16 != 0,
                 covered_candidate: bits & 32 != 0,
                 diameter2: bits & 64 != 0,
+                witnesses: bits & 128 != 0,
             });
         }
         out

@@ -28,6 +28,7 @@ pub mod config;
 pub mod engine;
 pub mod node;
 pub mod reduce;
+pub mod witness;
 
 pub use bounds::SizeInterval;
 pub use config::{ceil_gamma, QcConfig, Representation};

@@ -45,7 +45,9 @@ fn sorted_sets(out: &scpm_quasiclique::MiningOutcome) -> Vec<Vec<u32>> {
 /// point-wise (`edge_tests`); the bitset path answers the same queries
 /// with row-AND sweeps (`probes_elided` + `batch_ops` words) and only
 /// the seed-child membership probes and short-circuited maximality
-/// checks remain as point probes.
+/// checks remain as point probes. Coverage is pinned twice: without the
+/// greedy witness pass (the full promotion workload of the search) and
+/// with it (the default, where pre-covered vertices prune from the root).
 #[test]
 fn figure1_probe_counts_are_pinned() {
     let g = figure1();
@@ -55,11 +57,13 @@ fn figure1_probe_counts_are_pinned() {
     let slice_expect = [
         ("maximal", 243, 0, 0, 5, 20, 33),
         ("coverage", 180, 0, 0, 2, 17, 25),
+        ("coverage_witnesses", 88, 0, 0, 1, 11, 10),
         ("top2", 243, 0, 0, 5, 20, 33),
     ];
     let bitset_expect = [
         ("maximal", 31, 212, 72, 5, 20, 33),
         ("coverage", 27, 153, 47, 2, 17, 25),
+        ("coverage_witnesses", 27, 61, 13, 1, 11, 10),
         ("top2", 31, 212, 72, 5, 20, 33),
     ];
     for (repr, expect) in [
@@ -67,9 +71,16 @@ fn figure1_probe_counts_are_pinned() {
         (Representation::Bitset, &bitset_expect),
     ] {
         let m = Miner::new(g.graph(), cfg).with_repr(repr);
+        let no_witnesses = Miner::new(g.graph(), cfg)
+            .with_repr(repr)
+            .with_prune(PruneFlags {
+                witnesses: false,
+                ..PruneFlags::default()
+            });
         for (mode, stats) in [
             ("maximal", m.enumerate_maximal().stats),
-            ("coverage", m.coverage().stats),
+            ("coverage", no_witnesses.coverage().stats),
+            ("coverage_witnesses", m.coverage().stats),
             ("top2", m.top_k(2).stats),
         ] {
             let &(emode, edge_tests, probes_elided, batch_ops, forced, cover, nodes) =
@@ -107,6 +118,7 @@ fn critical_forcing_promotes_exact_sets() {
         lookahead: false,
         covered_candidate: false,
         diameter2: false,
+        witnesses: false,
     };
     let slice = Miner::new(g.graph(), cfg)
         .with_repr(Representation::Slice)

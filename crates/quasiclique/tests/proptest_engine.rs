@@ -1,11 +1,12 @@
 //! Property tests: the search engine must agree with the exponential
 //! reference implementation on arbitrary small graphs, for both search
-//! orders, all pruning-flag combinations, and all three mining modes.
+//! orders, all pruning-flag combinations, and all three mining modes; the
+//! greedy witness pass must only ever return quasi-cliques.
 
 use proptest::prelude::*;
 use scpm_graph::builder::GraphBuilder;
 use scpm_graph::csr::CsrGraph;
-use scpm_quasiclique::bruteforce;
+use scpm_quasiclique::{bruteforce, witness};
 use scpm_quasiclique::{pattern_order, Miner, PruneFlags, QcConfig, Representation, SearchOrder};
 
 fn small_graph() -> impl Strategy<Value = CsrGraph> {
@@ -31,9 +32,8 @@ fn qc_params() -> impl Strategy<Value = QcConfig> {
         .prop_map(|(gamma, min_size)| QcConfig::new(gamma, min_size))
 }
 
+// The case count follows `PROPTEST_CASES` (256 when unset).
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
     #[test]
     fn maximal_enumeration_matches_bruteforce(g in small_graph(), cfg in qc_params()) {
         let expect = bruteforce::maximal_quasi_cliques(&g, &cfg);
@@ -84,7 +84,7 @@ proptest! {
 
     #[test]
     fn pruning_flags_are_semantically_inert(g in small_graph(), cfg in qc_params(),
-                                            bits in 0u32..128) {
+                                            bits in 0u32..256) {
         let baseline = {
             let mut s: Vec<Vec<u32>> = Miner::new(&g, cfg).enumerate_maximal()
                 .cliques.into_iter().map(|q| q.vertices).collect();
@@ -99,6 +99,7 @@ proptest! {
             lookahead: bits & 16 != 0,
             covered_candidate: bits & 32 != 0,
             diameter2: bits & 64 != 0,
+            witnesses: bits & 128 != 0,
         };
         let mut got: Vec<Vec<u32>> = Miner::new(&g, cfg).with_prune(flags).enumerate_maximal()
             .cliques.into_iter().map(|q| q.vertices).collect();
@@ -117,7 +118,7 @@ proptest! {
     /// combination.
     #[test]
     fn bitset_and_slice_outcomes_are_identical(g in small_graph(), cfg in qc_params(),
-                                               bits in 0u32..128, k in 1usize..=4) {
+                                               bits in 0u32..256, k in 1usize..=4) {
         let flags = PruneFlags {
             feasibility: bits & 1 != 0,
             bounds: bits & 2 != 0,
@@ -126,6 +127,7 @@ proptest! {
             lookahead: bits & 16 != 0,
             covered_candidate: bits & 32 != 0,
             diameter2: bits & 64 != 0,
+            witnesses: bits & 128 != 0,
         };
         let slice = Miner::new(&g, cfg).with_prune(flags).with_repr(Representation::Slice);
         let packed = Miner::new(&g, cfg).with_prune(flags).with_repr(Representation::Bitset);
@@ -173,6 +175,31 @@ proptest! {
         );
         prop_assert_eq!(s.stats.probes_elided, 0, "slice top-k probes_elided, flags {:?}", flags);
         prop_assert_eq!(s.stats.batch_ops, 0, "slice top-k batch_ops, flags {:?}", flags);
+    }
+
+    /// The greedy witness pass is sound over γ ∈ [0.5, 1] and several
+    /// minimum sizes: every witness is a quasi-clique, and coverage is the
+    /// brute-force `K` with the pass on and off, in both orders and both
+    /// representations.
+    #[test]
+    fn witnesses_are_quasi_cliques_and_keep_coverage(g in small_graph(),
+                                                     percent in 50u32..=100,
+                                                     min_size in 2usize..=6) {
+        let cfg = QcConfig::new(percent as f64 / 100.0, min_size);
+        for w in witness::witnesses(&g, &cfg) {
+            prop_assert!(cfg.is_quasi_clique(&g, &w), "witness {:?}, cfg {:?}", w, cfg);
+        }
+        let expect = bruteforce::coverage(&g, &cfg);
+        let off = PruneFlags { witnesses: false, ..PruneFlags::default() };
+        for order in [SearchOrder::Dfs, SearchOrder::Bfs] {
+            for repr in [Representation::Slice, Representation::Bitset] {
+                let miner = |flags| Miner::new(&g, cfg).with_order(order).with_repr(repr).with_prune(flags);
+                prop_assert_eq!(&miner(PruneFlags::default()).coverage().covered, &expect,
+                                "witnesses on, {:?} {:?}", order, repr);
+                prop_assert_eq!(&miner(off).coverage().covered, &expect,
+                                "witnesses off, {:?} {:?}", order, repr);
+            }
+        }
     }
 
     #[test]

@@ -112,6 +112,13 @@ fn main() {
                 ..PruneFlags::default()
             },
         ),
+        (
+            "no witnesses",
+            PruneFlags {
+                witnesses: false,
+                ..PruneFlags::default()
+            },
+        ),
     ] {
         run(name, base.clone(), ScpmPruneFlags::default(), flags);
     }

@@ -99,14 +99,21 @@ fn dataset_invariant_under_engine_flag_combinations() {
     // At dataset scale, keep at least one degree-based rule (feasibility or
     // bounds) active: with both off the set-enumeration tree is exponential
     // in the candidate count and the run would not finish in test time.
-    // (The full 2^7 flag matrix, including all-off, is exercised on small
+    // (The full 2^8 flag matrix, including all-off, is exercised on small
     // graphs by the quasiclique proptests.)
     for feasibility in [true, false] {
         for bounds in [true, false] {
             if !feasibility && !bounds {
                 continue;
             }
-            for flip in ["lookahead", "diameter2", "critical", "cover", "none"] {
+            for flip in [
+                "lookahead",
+                "diameter2",
+                "critical",
+                "cover",
+                "witnesses",
+                "none",
+            ] {
                 let mut params = base.clone();
                 params.qc_prune = PruneFlags {
                     feasibility,
@@ -116,6 +123,7 @@ fn dataset_invariant_under_engine_flag_combinations() {
                     critical: flip != "critical",
                     cover_vertex: flip != "cover",
                     covered_candidate: true,
+                    witnesses: flip != "witnesses",
                 };
                 let got = canonical(&Scpm::new(g, params).run());
                 assert_eq!(
