@@ -52,6 +52,8 @@ fn engine_flag_variants() -> Vec<(&'static str, PruneFlags)> {
                 ..all
             },
         ),
+        // `diameter2` switches both the seed's two-hop candidate
+        // restriction and the global two-hop core peel before the search.
         (
             "no_diameter2",
             PruneFlags {

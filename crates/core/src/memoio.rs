@@ -9,7 +9,7 @@
 //! every length and count behind it:
 //!
 //! ```text
-//! "SCPMMEMO" u32 version=3
+//! "SCPMMEMO" u32 version=4
 //! u64 params_fingerprint        fingerprint(ScpmParams), see below
 //! u64 graph_fingerprint         fnv1a64(snapshot::encode(graph))
 //! u64 entries                   then entries × record, keys ascending
@@ -42,6 +42,11 @@
 //! record carries, so a v2 record would replay the old build's counters
 //! into a mine that no longer produces them. A v2 memo is refused the
 //! same way.
+//!
+//! Version 4 again keeps the layout. It marks the two-hop core peel that
+//! `diameter2` now also switches: the search walks a smaller graph, so a
+//! v3 record's coverage and top-k counters are stale, and a v3 memo is
+//! refused too.
 
 use std::collections::HashMap;
 
@@ -56,7 +61,7 @@ use crate::params::ScpmParams;
 const MAGIC: &[u8; 8] = b"SCPMMEMO";
 
 /// Current memo file format version.
-pub const VERSION: u32 = 3;
+pub const VERSION: u32 = 4;
 
 /// Number of `u64` counters a [`SearchStats`] serializes to (every field
 /// but the always-0 `blocks_skipped`).
@@ -558,6 +563,13 @@ mod tests {
         // v2 records carry coverage counters from before the witness pass.
         let bytes = memo_with_version(2);
         assert_eq!(decode_memo(&bytes).unwrap_err(), MemoError::BadVersion(2));
+    }
+
+    #[test]
+    fn version_3_memo_is_rejected() {
+        // v3 records carry search counters from before the two-hop peel.
+        let bytes = memo_with_version(3);
+        assert_eq!(decode_memo(&bytes).unwrap_err(), MemoError::BadVersion(3));
     }
 
     #[test]

@@ -843,6 +843,13 @@ mod tests {
     }
 
     #[test]
+    fn version_3_memo_degrades_to_recording_mine() {
+        // A memo written before the two-hop core peel carries search
+        // counters a fresh mine no longer produces; it must not replay.
+        stale_memo_degrades_to_recording_mine("v3memo", 3);
+    }
+
+    #[test]
     fn changed_params_refuse_the_memo() {
         let dir = tdir("badparams");
         let (_graph, _params, _writer) = seed(&dir);

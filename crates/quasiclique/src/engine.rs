@@ -32,7 +32,10 @@
 //!   skipped,
 //! * lookahead: if `X ∪ cands` is itself a quasi-clique the subtree
 //!   collapses to a single emission,
-//! * diameter-2 candidate restriction for `γ ≥ 0.5`,
+//! * diameter-2 rule for `γ ≥ 0.5`, twice: before the search a two-hop
+//!   core peel drops every vertex outside a `z`-core of its own two-hop
+//!   ball ([`crate::reduce`]), and each seed's candidates are restricted
+//!   to its two-hop neighbourhood,
 //! * greedy witnesses (coverage mode): before the search, greedily peeled
 //!   quasi-cliques pre-cover part of `K` ([`crate::witness`]),
 //! * covered-candidate subtree pruning (coverage mode),
@@ -43,7 +46,7 @@ use std::collections::VecDeque;
 use crate::bounds::{candidate_feasible_in, critical_member, extension_interval, SizeInterval};
 use crate::config::{QcConfig, Representation};
 use crate::node::{candidate_feasible, member_feasible, SearchNode};
-use crate::reduce::reduce_vertices;
+use crate::reduce::{reduce_vertices, two_hop_peel, PeelScratch};
 use crate::witness::{self, WitnessScratch};
 use scpm_graph::bitadj::{gather_intersect_popcount, BitAdjacency, VertexBitset};
 use scpm_graph::csr::{CsrGraph, VertexId};
@@ -81,7 +84,9 @@ pub struct PruneFlags {
     pub lookahead: bool,
     /// Subtree pruning once all of `X ∪ cands` is covered (coverage mode).
     pub covered_candidate: bool,
-    /// Candidate restriction to the seed's two-hop neighborhood (γ ≥ 0.5).
+    /// The diameter-2 rule (γ ≥ 0.5): the two-hop core peel before the
+    /// search ([`crate::reduce`]) and the candidate restriction to each
+    /// seed's two-hop neighborhood.
     pub diameter2: bool,
     /// Greedy witness pass before the search (coverage mode): vertices of
     /// greedily peeled quasi-cliques start out covered, so the
@@ -153,8 +158,9 @@ pub struct SearchStats {
     /// `u64` words touched by bitset kernels. The hardware-independent
     /// cost figure `exp_perf` tracks when comparing
     /// [`Representation::Slice`] against [`Representation::Bitset`].
-    /// The greedy witness pass is excluded: it runs identically under
-    /// both representations and is not part of the search hot loops.
+    /// The greedy witness pass and the two-hop core peel are excluded:
+    /// they run identically under both representations and are not part
+    /// of the search hot loops.
     pub kernel_ops: u64,
     /// Fused single-pass kernel invocations: gathered exdeg popcounts,
     /// and-not scans, and incremental exdeg updates on the bitset path,
@@ -301,6 +307,8 @@ pub struct EngineScratch {
     ranks: RankMap,
     /// Buffers of the greedy witness pass (it resets them itself).
     witness: WitnessScratch,
+    /// Buffers of the two-hop core peel (it resets them itself).
+    peel: PeelScratch,
 }
 
 impl EngineScratch {
@@ -345,6 +353,16 @@ pub struct MiningOutcome {
     pub covered: Vec<VertexId>,
     /// Search counters.
     pub stats: SearchStats,
+}
+
+impl MiningOutcome {
+    fn empty(stats: SearchStats) -> Self {
+        MiningOutcome {
+            cliques: Vec::new(),
+            covered: Vec::new(),
+            stats,
+        }
+    }
 }
 
 impl<'g> Miner<'g> {
@@ -405,23 +423,23 @@ impl<'g> Miner<'g> {
     pub fn run_with(&self, mode: MiningMode, scratch: &mut EngineScratch) -> MiningOutcome {
         let mut stats = SearchStats::default();
         if let MiningMode::TopK(0) = mode {
-            return MiningOutcome {
-                cliques: Vec::new(),
-                covered: Vec::new(),
-                stats,
-            };
+            return MiningOutcome::empty(stats);
         }
         // Global vertex reduction, then re-extraction so the search works
         // on a compact graph whose every vertex could be in a quasi-clique.
         let survivors = reduce_vertices(self.input, &self.cfg);
         if survivors.len() < self.cfg.min_size {
-            return MiningOutcome {
-                cliques: Vec::new(),
-                covered: Vec::new(),
-                stats,
-            };
+            return MiningOutcome::empty(stats);
         }
-        let sub = InducedSubgraph::extract_with(self.input, &survivors, &mut scratch.ranks);
+        let mut sub = InducedSubgraph::extract_with(self.input, &survivors, &mut scratch.ranks);
+        // Diameter-2 rule, globally: drop the vertices outside every
+        // two-hop core (inert for γ < 0.5, like the seed restriction).
+        if self.prune.diameter2 && two_hop_peel(&sub.graph, &self.cfg, &mut scratch.peel) > 0 {
+            sub = sub.project_with(&scratch.peel.keep, &mut scratch.ranks);
+            if sub.num_vertices() < self.cfg.min_size {
+                return MiningOutcome::empty(stats);
+            }
+        }
         let n = sub.graph.num_vertices();
         scratch.reset(n);
         // Pack the reduced subgraph's adjacency once for the whole search;

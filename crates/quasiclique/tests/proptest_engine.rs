@@ -1,12 +1,13 @@
 //! Property tests: the search engine must agree with the exponential
 //! reference implementation on arbitrary small graphs, for both search
 //! orders, all pruning-flag combinations, and all three mining modes; the
-//! greedy witness pass must only ever return quasi-cliques.
+//! greedy witness pass must only ever return quasi-cliques, and the
+//! two-hop core peel must keep every quasi-clique vertex.
 
 use proptest::prelude::*;
 use scpm_graph::builder::GraphBuilder;
 use scpm_graph::csr::CsrGraph;
-use scpm_quasiclique::{bruteforce, witness};
+use scpm_quasiclique::{bruteforce, reduce, witness};
 use scpm_quasiclique::{pattern_order, Miner, PruneFlags, QcConfig, Representation, SearchOrder};
 
 fn small_graph() -> impl Strategy<Value = CsrGraph> {
@@ -198,6 +199,41 @@ proptest! {
                                 "witnesses on, {:?} {:?}", order, repr);
                 prop_assert_eq!(&miner(off).coverage().covered, &expect,
                                 "witnesses off, {:?} {:?}", order, repr);
+            }
+        }
+    }
+
+    /// The two-hop core peel is sound over γ ∈ [0.5, 1] and several
+    /// minimum sizes: its survivors contain `K`, and with it on (the
+    /// default `diameter2`) coverage, top-k and maximal enumeration equal
+    /// brute force in both orders and both representations.
+    #[test]
+    fn two_hop_core_keeps_every_quasi_clique(g in small_graph(),
+                                             percent in 50u32..=100,
+                                             min_size in 2usize..=6,
+                                             k in 1usize..=4) {
+        let cfg = QcConfig::new(percent as f64 / 100.0, min_size);
+        let cover = bruteforce::coverage(&g, &cfg);
+        let survivors = reduce::two_hop_core(&g, &cfg);
+        prop_assert!(cover.iter().all(|v| survivors.binary_search(v).is_ok()),
+                     "cover {:?} not within survivors {:?}, cfg {:?}", cover, survivors, cfg);
+        let maximal = bruteforce::maximal_quasi_cliques(&g, &cfg);
+        let top = bruteforce::top_k(&g, &cfg, k);
+        for order in [SearchOrder::Dfs, SearchOrder::Bfs] {
+            for repr in [Representation::Slice, Representation::Bitset] {
+                let miner = Miner::new(&g, cfg).with_order(order).with_repr(repr);
+                prop_assert_eq!(&miner.coverage().covered, &cover, "{:?} {:?}", order, repr);
+                let mut got: Vec<Vec<u32>> = miner.enumerate_maximal()
+                    .cliques.into_iter().map(|q| q.vertices).collect();
+                got.sort();
+                prop_assert_eq!(&got, &maximal, "{:?} {:?}", order, repr);
+                let got = miner.top_k(k).cliques;
+                prop_assert_eq!(got.len(), top.len(), "{:?} {:?}", order, repr);
+                for (a, b) in got.iter().zip(top.iter()) {
+                    prop_assert_eq!(a.size(), b.size());
+                    prop_assert!((a.min_degree_ratio - b.min_degree_ratio).abs() < 1e-12);
+                    prop_assert!(maximal.contains(&a.vertices));
+                }
             }
         }
     }
