@@ -258,13 +258,17 @@ pub struct Miner<'g> {
 
 /// Reusable scratch memory for repeated searches.
 ///
-/// Every search needs three stamp arrays, a coverage bitmap, and a work
-/// list, all sized by the (reduced) input graph. A caller running many
-/// searches — the SCPM drivers evaluate one induced subgraph per attribute
-/// set — can allocate one `EngineScratch` and pass it to
-/// [`Miner::run_with`]; buffers are then resized, not reallocated, between
-/// runs. [`Miner::run`] creates a throwaway scratch, so single-shot callers
-/// never see this type.
+/// Holds every buffer a search needs: the per-vertex stamps, packed sets
+/// and index maps sized by the (reduced) input graph, the work list, the
+/// per-node temporaries (exdeg arrays, filter and cover partitions), a
+/// free list of search-node buffers, and the buffers of the witness pass
+/// and the two-hop core peel. A caller running many searches — the SCPM
+/// drivers evaluate one induced subgraph per attribute set — can allocate
+/// one `EngineScratch` and pass it to [`Miner::run_with`]; buffers are then
+/// reused, not reallocated, between nodes and between runs, so a warm
+/// search allocates only per run (the reduced graph and the results),
+/// never per node. [`Miner::run`] creates a throwaway scratch, so
+/// single-shot callers never see this type.
 #[derive(Debug, Default)]
 pub struct EngineScratch {
     cand_mark: Stamp,
@@ -309,6 +313,66 @@ pub struct EngineScratch {
     witness: WitnessScratch,
     /// Buffers of the two-hop core peel (it resets them itself).
     peel: PeelScratch,
+    /// Per-node temporaries, lent to one `Ctx::process` call at a time.
+    temps: NodeTemps,
+    /// Free lists of cleared vertex/degree lists for search nodes and
+    /// emitted sets, by capacity class (see [`POOL_CLASSES`]).
+    pool: [Vec<Vec<u32>>; POOL_CLASSES],
+    /// Bytes the lists in `pool` hold (capacity plus header), at most
+    /// [`POOL_MAX_BYTES`].
+    pool_bytes: usize,
+    /// Two-hop reach of a seed (`Ctx::seed_child`).
+    reach: Vec<VertexId>,
+    /// Candidates moved into `X` by one critical-vertex forcing.
+    forced: Vec<VertexId>,
+    /// Outside vertices that may extend an emitted set, and the set's
+    /// members that need the extension to be their neighbour
+    /// (`Ctx::single_extendable`).
+    extenders: Vec<VertexId>,
+    deficient: Vec<VertexId>,
+    /// Sizes of the buffered top-k sets, sorted descending.
+    topk_sizes: Vec<usize>,
+}
+
+/// Capacity classes of the [`EngineScratch`] free lists: class `c` holds
+/// lists of capacity exactly `2^c`, up to [`POOL_MAX_CAPACITY`]. A request
+/// for `len` elements takes a list of class `⌈log2 len⌉`, which never
+/// needs to grow, so a warm search replaying the same requests finds every
+/// list it needs, and a class never holds more lists than were live at
+/// once.
+const POOL_CLASSES: usize = 7;
+
+/// Largest capacity the free lists keep. Longer lists (the root's and the
+/// seeds' wide candidate sets) are allocated exactly and freed after use,
+/// so a wide search leaves no wide lists behind.
+const POOL_MAX_CAPACITY: usize = 1 << (POOL_CLASSES - 1);
+
+/// Most bytes the free lists keep. A breadth-first search whose frontier
+/// outgrows it allocates the excess and frees it again, so a scratch never
+/// retains more than this however wide a past search was.
+const POOL_MAX_BYTES: usize = 4 << 20;
+
+/// Bytes a list of capacity `cap` holds: its elements and its header.
+fn pooled_size(cap: usize) -> usize {
+    cap * std::mem::size_of::<u32>() + std::mem::size_of::<Vec<u32>>()
+}
+
+/// The per-node temporaries of `Ctx::process`, kept in [`EngineScratch`]
+/// so a warm search reuses their allocations.
+#[derive(Debug, Default)]
+struct NodeTemps {
+    /// `|N(x[i]) ∩ cands|` for every member.
+    x_exdeg: Vec<u32>,
+    /// `|N(cands[j]) ∩ cands|` for every candidate.
+    cands_exdeg: Vec<u32>,
+    /// Ascending indices of the candidates one filter round keeps.
+    keep: Vec<usize>,
+    /// Candidate indices in pivot order (uncovered first).
+    order: Vec<u32>,
+    /// Candidate indices the cover vertex covers.
+    covered: Vec<u32>,
+    /// `(candidate, indeg)` pairs of a slice-path child, sorted by vertex.
+    pairs: Vec<(VertexId, u32)>,
 }
 
 impl EngineScratch {
@@ -341,6 +405,70 @@ impl EngineScratch {
         self.counts.clear();
         self.counts.resize(n, 0);
         self.touched.clear();
+        self.topk_sizes.clear();
+    }
+
+    /// An empty list with room for `len` elements, from the free lists
+    /// when one of the right class is there.
+    fn buffer(&mut self, len: usize) -> Vec<u32> {
+        if len > POOL_MAX_CAPACITY {
+            return Vec::with_capacity(len);
+        }
+        let cap = len.next_power_of_two();
+        match self.pool[cap.trailing_zeros() as usize].pop() {
+            Some(buf) => {
+                self.pool_bytes -= pooled_size(buf.capacity());
+                buf
+            }
+            None => Vec::with_capacity(cap),
+        }
+    }
+
+    /// An empty node with room for `x_len` members and `c_len` candidates.
+    fn node(&mut self, x_len: usize, c_len: usize) -> SearchNode {
+        SearchNode {
+            x: self.buffer(x_len),
+            x_indeg: self.buffer(x_len),
+            cands: self.buffer(c_len),
+            cands_indeg: self.buffer(c_len),
+        }
+    }
+
+    /// Makes room for `extra` more elements in `list`, moving it into a
+    /// list of a large enough class rather than growing it in place (which
+    /// would reallocate on every warm run).
+    fn reserve(&mut self, list: &mut Vec<u32>, extra: usize) {
+        let len = list.len() + extra;
+        if list.capacity() < len {
+            let mut bigger = self.buffer(len);
+            bigger.extend_from_slice(list);
+            let old = std::mem::replace(list, bigger);
+            self.recycle(old);
+        }
+    }
+
+    /// Returns `buf` to its capacity class's free list, unless its
+    /// capacity is not one of the classes' or the free lists are full.
+    fn recycle(&mut self, mut buf: Vec<u32>) {
+        let cap = buf.capacity();
+        let bytes = pooled_size(cap);
+        if !cap.is_power_of_two()
+            || cap > POOL_MAX_CAPACITY
+            || self.pool_bytes + bytes > POOL_MAX_BYTES
+        {
+            return;
+        }
+        buf.clear();
+        self.pool[cap.trailing_zeros() as usize].push(buf);
+        self.pool_bytes += bytes;
+    }
+
+    /// Returns a finished node's lists to the free list.
+    fn recycle_node(&mut self, node: SearchNode) {
+        self.recycle(node.x);
+        self.recycle(node.x_indeg);
+        self.recycle(node.cands);
+        self.recycle(node.cands_indeg);
     }
 }
 
@@ -573,9 +701,24 @@ fn is_subset(a: &[VertexId], b: &[VertexId]) -> bool {
     scpm_graph::csr::intersect_count(a, b) == a.len()
 }
 
-/// Per-run search context over the reduced local graph. The sizable
-/// buffers (stamp arrays, coverage bitmap, work list) live in the borrowed
-/// [`EngineScratch`] so repeated runs reuse their allocations.
+/// Keeps `v[keep[0]], v[keep[1]], …` in place. `keep` must ascend, so each
+/// element moves only towards the front over already-read slots.
+fn compact<T: Copy>(v: &mut Vec<T>, keep: &[usize]) {
+    for (i, &j) in keep.iter().enumerate() {
+        v[i] = v[j];
+    }
+    v.truncate(keep.len());
+}
+
+/// Sets `v` to `len` zeros, keeping its allocation.
+fn zeroed(v: &mut Vec<u32>, len: usize) {
+    v.clear();
+    v.resize(len, 0);
+}
+
+/// Per-run search context over the reduced local graph. Every buffer the
+/// search touches per node lives in the borrowed [`EngineScratch`], so
+/// repeated nodes and runs reuse its allocations.
 struct Ctx<'a> {
     g: &'a CsrGraph,
     cfg: QcConfig,
@@ -584,7 +727,7 @@ struct Ctx<'a> {
     mode: MiningMode,
     /// Whether the packed kernels are active (`scratch.adj` is populated).
     bits_on: bool,
-    /// Reusable buffers (stamps, coverage bitmap, work list, bitsets).
+    /// Reusable buffers (stamps, bitsets, work list, node free list).
     s: &'a mut EngineScratch,
     /// Emitted local sets, each sorted (maximal / top-k modes).
     emitted: Vec<Vec<VertexId>>,
@@ -592,8 +735,6 @@ struct Ctx<'a> {
     remaining: usize,
     /// Current size bound for top-k (size of the k-th best so far).
     topk_bound: usize,
-    /// Scored sizes of emitted top-k candidates, kept sorted descending.
-    topk_sizes: Vec<usize>,
 }
 
 /// Generation-stamped membership array: `O(1)` set/test/clear.
@@ -611,8 +752,15 @@ impl Stamp {
         self.marks.resize(n, 0);
     }
 
+    /// Starts a new generation: every mark reads as unset. When the
+    /// counter wraps, the marks are zeroed so no stale stamp can equal a
+    /// reused generation.
     fn begin(&mut self) {
-        self.gen += 1;
+        self.gen = self.gen.wrapping_add(1);
+        if self.gen == 0 {
+            self.marks.fill(0);
+            self.gen = 1;
+        }
     }
 
     #[inline]
@@ -656,14 +804,16 @@ impl<'a> Ctx<'a> {
             emitted: Vec::new(),
             remaining: n,
             topk_bound: 0,
-            topk_sizes: Vec::new(),
         }
     }
 
     fn search(&mut self, stats: &mut SearchStats) {
         let n = self.g.num_vertices();
         let mut work = std::mem::take(&mut self.s.work);
-        work.push_back(SearchNode::root((0..n as VertexId).collect()));
+        let mut root = self.s.node(0, n);
+        root.cands.extend(0..n as VertexId);
+        root.cands_indeg.resize(n, 0);
+        work.push_back(root);
         while let Some(node) = match self.order {
             SearchOrder::Dfs => work.pop_back(),
             SearchOrder::Bfs => work.pop_front(),
@@ -673,22 +823,30 @@ impl<'a> Ctx<'a> {
             }
             self.process(node, &mut work, stats);
         }
-        // Hand the (empty or drained) buffer back for the next run.
-        work.clear();
+        // Recycle what a coverage early exit left queued, and hand the
+        // empty work list back for the next run.
+        for node in work.drain(..) {
+            self.s.recycle_node(node);
+        }
         self.s.work = work;
     }
 
     /// Feasibility fixpoint, interval bounds, and critical-vertex forcing,
-    /// iterated until the node is stable or dead. On `Alive`, `x_exdeg` and
-    /// `cands_exdeg` reflect the final node shape.
+    /// iterated until the node is stable or dead. On `Alive`, `t.x_exdeg`
+    /// and `t.cands_exdeg` reflect the final node shape.
     fn reduce_node(
         &mut self,
         node: &mut SearchNode,
-        x_exdeg: &mut Vec<u32>,
-        cands_exdeg: &mut Vec<u32>,
+        t: &mut NodeTemps,
         cands_ready: &mut bool,
         stats: &mut SearchStats,
     ) -> Reduction {
+        let NodeTemps {
+            x_exdeg,
+            cands_exdeg,
+            keep,
+            ..
+        } = t;
         loop {
             // Feasibility / bounds fixpoint over the candidate set.
             let mut interval = SizeInterval {
@@ -731,7 +889,7 @@ impl<'a> Ctx<'a> {
                         self.compute_cands_exdegs(node, cands_exdeg, stats);
                         *cands_ready = true;
                     }
-                    let mut keep = Vec::with_capacity(c_len);
+                    keep.clear();
                     for (j, (&indeg, &exdeg)) in
                         node.cands_indeg.iter().zip(cands_exdeg.iter()).enumerate()
                     {
@@ -760,17 +918,11 @@ impl<'a> Ctx<'a> {
                         break;
                     }
                     if self.bits_on {
-                        self.filter_candidates_incremental(
-                            node,
-                            &keep,
-                            x_exdeg,
-                            cands_exdeg,
-                            stats,
-                        );
+                        self.filter_candidates_incremental(node, keep, x_exdeg, cands_exdeg, stats);
                     } else {
-                        node.cands = keep.iter().map(|&j| node.cands[j]).collect();
-                        node.cands_indeg = keep.iter().map(|&j| node.cands_indeg[j]).collect();
-                        *cands_exdeg = vec![0; node.cands.len()];
+                        compact(&mut node.cands, keep);
+                        compact(&mut node.cands_indeg, keep);
+                        zeroed(cands_exdeg, node.cands.len());
                         x_exdeg.iter_mut().for_each(|d| *d = 0);
                         self.pack_cands(node, stats);
                         self.compute_x_exdegs(node, x_exdeg, stats);
@@ -787,8 +939,8 @@ impl<'a> Ctx<'a> {
                 {
                     self.force_candidates(node, i, stats);
                     stats.forced_critical += 1;
-                    *x_exdeg = vec![0; node.x.len()];
-                    *cands_exdeg = vec![0; node.cands.len()];
+                    zeroed(x_exdeg, node.x.len());
+                    zeroed(cands_exdeg, node.cands.len());
                     self.pack_cands(node, stats);
                     self.compute_x_exdegs(node, x_exdeg, stats);
                     self.compute_cands_exdegs(node, cands_exdeg, stats);
@@ -841,10 +993,9 @@ impl<'a> Ctx<'a> {
         for (i, &u) in node.x.iter().enumerate() {
             x_exdeg[i] -= self.gathered_degree(u, removed_words, active, &mut gathered);
         }
-        node.cands = keep.iter().map(|&j| node.cands[j]).collect();
-        node.cands_indeg = keep.iter().map(|&j| node.cands_indeg[j]).collect();
-        let surviving: Vec<u32> = keep.iter().map(|&j| cands_exdeg[j]).collect();
-        *cands_exdeg = surviving;
+        compact(&mut node.cands, keep);
+        compact(&mut node.cands_indeg, keep);
+        compact(cands_exdeg, keep);
         for (j, &v) in node.cands.iter().enumerate() {
             cands_exdeg[j] -= self.gathered_degree(v, removed_words, active, &mut gathered);
         }
@@ -876,21 +1027,27 @@ impl<'a> Ctx<'a> {
             return;
         }
         self.mark_neighbors(v, stats);
-        let mut forced: Vec<VertexId> = Vec::new();
-        let mut rest: Vec<VertexId> = Vec::with_capacity(node.cands.len());
-        let mut rest_indeg: Vec<u32> = Vec::with_capacity(node.cands.len());
-        for (j, &c) in node.cands.iter().enumerate() {
+        let mut forced = std::mem::take(&mut self.s.forced);
+        forced.clear();
+        // The rest is compacted in place: slot `kept` is always at or
+        // before the slot `j` being read.
+        let mut kept = 0usize;
+        for j in 0..node.cands.len() {
+            let c = node.cands[j];
             if self.marked_adjacent(v, c, stats) {
                 forced.push(c);
             } else {
-                rest.push(c);
-                rest_indeg.push(node.cands_indeg[j]);
+                node.cands[kept] = c;
+                node.cands_indeg[kept] = node.cands_indeg[j];
+                kept += 1;
             }
         }
         debug_assert!(!forced.is_empty(), "critical member must have exdeg > 0");
-        node.cands = rest;
-        node.cands_indeg = rest_indeg;
-        for w in forced {
+        node.cands.truncate(kept);
+        node.cands_indeg.truncate(kept);
+        self.s.reserve(&mut node.x, forced.len());
+        self.s.reserve(&mut node.x_indeg, forced.len());
+        for &w in &forced {
             self.mark_neighbors(w, stats);
             let mut w_indeg = 0u32;
             for (i, &u) in node.x.iter().enumerate() {
@@ -907,6 +1064,7 @@ impl<'a> Ctx<'a> {
                 }
             }
         }
+        self.s.forced = forced;
     }
 
     /// The bitset arm of [`Ctx::force_candidates`]: the packed candidate
@@ -922,9 +1080,11 @@ impl<'a> Ctx<'a> {
         stats: &mut SearchStats,
     ) {
         let mut batch = 0u64;
-        let mut forced: Vec<VertexId> = Vec::new();
-        let mut rest: Vec<VertexId> = Vec::with_capacity(node.cands.len());
-        let mut rest_indeg: Vec<u32> = Vec::with_capacity(node.cands.len());
+        let mut forced = std::mem::take(&mut self.s.forced);
+        forced.clear();
+        let c_len = node.cands.len();
+        // The rest is compacted in place, as in the slice arm.
+        let mut kept = 0usize;
         {
             let row = self.s.adj.row(v);
             let cand_words = self.s.cand_bits.words();
@@ -949,15 +1109,20 @@ impl<'a> Ctx<'a> {
                     if m & (1u64 << bit) != 0 {
                         forced.push(c);
                     } else {
-                        rest.push(c);
-                        rest_indeg.push(node.cands_indeg[j]);
+                        node.cands[kept] = c;
+                        node.cands_indeg[kept] = node.cands_indeg[j];
+                        kept += 1;
                     }
                     j += 1;
                 }
             }
-            debug_assert_eq!(j, node.cands.len());
+            debug_assert_eq!(j, c_len);
         }
-        stats.probes_elided += node.cands.len() as u64;
+        node.cands.truncate(kept);
+        node.cands_indeg.truncate(kept);
+        self.s.reserve(&mut node.x, forced.len());
+        self.s.reserve(&mut node.x_indeg, forced.len());
+        stats.probes_elided += c_len as u64;
         debug_assert!(!forced.is_empty(), "critical member must have exdeg > 0");
         // Forced vertices leave the packed candidate set (keeping it in
         // sync with `rest` for the candidate-side sweeps below).
@@ -971,13 +1136,11 @@ impl<'a> Ctx<'a> {
             self.s.x_pos[u as usize] = i as u32;
             self.s.x_bits.insert_tracked(u, &mut self.s.x_active);
         }
-        for (j, &c) in rest.iter().enumerate() {
+        for (j, &c) in node.cands.iter().enumerate() {
             self.s.cand_pos[c as usize] = j as u32;
         }
-        stats.kernel_ops += (cleared + forced.len() + node.x.len() + rest.len()) as u64;
-        node.cands = rest;
-        node.cands_indeg = rest_indeg;
-        for w in forced {
+        stats.kernel_ops += (cleared + forced.len() + node.x.len() + node.cands.len()) as u64;
+        for &w in &forced {
             let mut w_indeg = 0u32;
             {
                 let row = self.s.adj.row(w);
@@ -1021,6 +1184,7 @@ impl<'a> Ctx<'a> {
             }
             stats.probes_elided += node.cands.len() as u64;
         }
+        self.s.forced = forced;
         stats.batch_ops += batch;
         stats.kernel_ops += batch;
     }
@@ -1054,6 +1218,7 @@ impl<'a> Ctx<'a> {
         }
     }
 
+    /// Visits one node, then returns its lists to the free list.
     fn process(
         &mut self,
         mut node: SearchNode,
@@ -1061,7 +1226,21 @@ impl<'a> Ctx<'a> {
         stats: &mut SearchStats,
     ) {
         stats.nodes_visited += 1;
+        let mut temps = std::mem::take(&mut self.s.temps);
+        self.expand(&mut node, &mut temps, work, stats);
+        self.s.temps = temps;
+        self.s.recycle_node(node);
+    }
 
+    /// Prunes, reduces and emits `node`, and pushes its children onto
+    /// `work`.
+    fn expand(
+        &mut self,
+        node: &mut SearchNode,
+        t: &mut NodeTemps,
+        work: &mut VecDeque<SearchNode>,
+        stats: &mut SearchStats,
+    ) {
         // Covered-candidate pruning (coverage mode).
         if matches!(self.mode, MiningMode::Coverage) && self.prune.covered_candidate {
             let all_covered = node
@@ -1078,7 +1257,7 @@ impl<'a> Ctx<'a> {
         // Top-k size bound (§3.2.3: prune when the subtree cannot produce a
         // pattern larger than the current k-th best).
         if let MiningMode::TopK(k) = self.mode {
-            if self.topk_sizes.len() >= k && node.upper_size() < self.topk_bound {
+            if self.emitted.len() >= k && node.upper_size() < self.topk_bound {
                 stats.pruned_size_bound += 1;
                 return;
             }
@@ -1087,23 +1266,25 @@ impl<'a> Ctx<'a> {
         // Degree bookkeeping: exdeg of members and candidates w.r.t. the
         // candidate set. The candidate side is computed lazily — a node
         // the member-side bounds kill never pays for it.
-        let mut x_exdeg = vec![0u32; node.x.len()];
-        let mut cands_exdeg = vec![0u32; node.cands.len()];
-        self.pack_cands(&node, stats);
-        self.compute_x_exdegs(&node, &mut x_exdeg, stats);
+        zeroed(&mut t.x_exdeg, node.x.len());
+        zeroed(&mut t.cands_exdeg, node.cands.len());
+        self.pack_cands(node, stats);
+        self.compute_x_exdegs(node, &mut t.x_exdeg, stats);
         let mut cands_ready = false;
 
-        if let Reduction::Dead = self.reduce_node(
-            &mut node,
-            &mut x_exdeg,
-            &mut cands_exdeg,
-            &mut cands_ready,
-            stats,
-        ) {
+        if let Reduction::Dead = self.reduce_node(node, t, &mut cands_ready, stats) {
             return;
         }
+        let NodeTemps {
+            x_exdeg,
+            cands_exdeg,
+            order,
+            covered,
+            pairs,
+            ..
+        } = t;
         if !cands_ready {
-            self.compute_cands_exdegs(&node, &mut cands_exdeg, stats);
+            self.compute_cands_exdegs(node, cands_exdeg, stats);
         }
 
         // Lookahead: emit X ∪ cands when it is a quasi-clique.
@@ -1112,7 +1293,8 @@ impl<'a> Ctx<'a> {
             let x_ok = (0..node.x.len()).all(|i| node.x_indeg[i] + x_exdeg[i] >= req);
             let c_ok = (0..node.cands.len()).all(|j| node.cands_indeg[j] + cands_exdeg[j] >= req);
             if x_ok && c_ok {
-                let mut set = node.x.clone();
+                let mut set = self.s.buffer(node.upper_size());
+                set.extend_from_slice(&node.x);
                 set.extend_from_slice(&node.cands);
                 self.emit(set, stats);
                 stats.pruned_lookahead += 1;
@@ -1124,7 +1306,9 @@ impl<'a> Ctx<'a> {
         if node.x.len() >= self.cfg.min_size {
             let req = self.cfg.required_degree(node.x.len()) as u32;
             if node.x_indeg.iter().all(|&d| d >= req) {
-                self.emit(node.x.clone(), stats);
+                let mut set = self.s.buffer(node.x.len());
+                set.extend_from_slice(&node.x);
+                self.emit(set, stats);
             }
         }
 
@@ -1136,74 +1320,74 @@ impl<'a> Ctx<'a> {
         // candidates are ordered last so they remain reachable from the
         // subtrees of uncovered pivots.
         let x_len = node.x.len();
-        let mut skip_from = node.cands.len();
-        let mut order: Vec<u32> = (0..node.cands.len() as u32).collect();
-        if self.prune.cover_vertex && !node.cands.is_empty() {
-            let best = (0..node.cands.len())
+        let c_len = node.cands.len();
+        let mut skip_from = c_len;
+        order.clear();
+        let best = if self.prune.cover_vertex {
+            (0..c_len)
                 .filter(|&j| node.cands_indeg[j] as usize == x_len && cands_exdeg[j] > 0)
-                .max_by_key(|&j| (cands_exdeg[j], std::cmp::Reverse(node.cands[j])));
-            if let Some(jbest) = best {
-                let cv = node.cands[jbest];
-                if self.bits_on {
-                    // Batched stable partition: one sweep of row(cv) over
-                    // the packed candidate words. `order` is still the
-                    // identity permutation here and candidates ascend, so
-                    // walking set bits word by word visits order[0..] in
-                    // order — no point probes.
-                    let row = self.s.adj.row(cv);
-                    let cand_words = self.s.cand_bits.words();
-                    let mut uncovered: Vec<u32> = Vec::with_capacity(order.len());
-                    let mut covered: Vec<u32> = Vec::new();
-                    let mut j = 0u32;
-                    let mut batch = 0u64;
-                    for &wi in &self.s.cand_active {
-                        let wi = wi as usize;
-                        let cw = cand_words[wi];
-                        if cw == 0 {
-                            continue;
-                        }
-                        batch += 1;
-                        let m = row[wi] & cw;
-                        let mut bits = cw;
-                        while bits != 0 {
-                            let bit = bits.trailing_zeros() as usize;
-                            bits &= bits - 1;
-                            if m & (1u64 << bit) != 0 {
-                                covered.push(j);
-                            } else {
-                                uncovered.push(j);
-                            }
-                            j += 1;
-                        }
+                .max_by_key(|&j| (cands_exdeg[j], std::cmp::Reverse(node.cands[j])))
+        } else {
+            None
+        };
+        if let Some(jbest) = best {
+            // Stable partition of the candidate indices: uncovered pivots
+            // go straight into `order`, covered ones into `covered`, which
+            // is appended last.
+            let cv = node.cands[jbest];
+            covered.clear();
+            if self.bits_on {
+                // Batched: one sweep of row(cv) over the packed candidate
+                // words. Candidates ascend, so walking set bits word by
+                // word visits candidate indices in order — no point probes.
+                let row = self.s.adj.row(cv);
+                let cand_words = self.s.cand_bits.words();
+                let mut j = 0u32;
+                let mut batch = 0u64;
+                for &wi in &self.s.cand_active {
+                    let wi = wi as usize;
+                    let cw = cand_words[wi];
+                    if cw == 0 {
+                        continue;
                     }
-                    debug_assert_eq!(j as usize, order.len());
-                    stats.probes_elided += order.len() as u64;
-                    stats.batch_ops += batch;
-                    stats.kernel_ops += batch;
-                    skip_from = uncovered.len();
-                    stats.pruned_cover += covered.len() as u64;
-                    order = uncovered;
-                    order.extend(covered);
-                } else {
-                    self.s.cover_mark.begin();
-                    for &u in self.g.neighbors(cv) {
-                        self.s.cover_mark.set(u);
+                    batch += 1;
+                    let m = row[wi] & cw;
+                    let mut bits = cw;
+                    while bits != 0 {
+                        let bit = bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        if m & (1u64 << bit) != 0 {
+                            covered.push(j);
+                        } else {
+                            order.push(j);
+                        }
+                        j += 1;
                     }
-                    stats.kernel_ops += (self.g.degree(cv) + order.len()) as u64;
-                    stats.edge_tests += order.len() as u64;
-                    // Stable partition: uncovered pivots first, covered
-                    // last.
-                    let (uncovered, covered): (Vec<u32>, Vec<u32>) =
-                        order.iter().partition(|&&j| {
-                            let c = node.cands[j as usize];
-                            !self.s.cover_mark.get(c)
-                        });
-                    skip_from = uncovered.len();
-                    stats.pruned_cover += covered.len() as u64;
-                    order = uncovered;
-                    order.extend(covered);
+                }
+                debug_assert_eq!(j as usize, c_len);
+                stats.probes_elided += c_len as u64;
+                stats.batch_ops += batch;
+                stats.kernel_ops += batch;
+            } else {
+                self.s.cover_mark.begin();
+                for &u in self.g.neighbors(cv) {
+                    self.s.cover_mark.set(u);
+                }
+                stats.kernel_ops += (self.g.degree(cv) + c_len) as u64;
+                stats.edge_tests += c_len as u64;
+                for (j, &c) in node.cands.iter().enumerate() {
+                    if self.s.cover_mark.get(c) {
+                        covered.push(j as u32);
+                    } else {
+                        order.push(j as u32);
+                    }
                 }
             }
+            skip_from = order.len();
+            stats.pruned_cover += covered.len() as u64;
+            order.extend_from_slice(covered);
+        } else {
+            order.extend(0..c_len as u32);
         }
 
         // Expand children: pivot on each unskipped candidate in processing
@@ -1212,7 +1396,6 @@ impl<'a> Ctx<'a> {
         let use_diameter = self.prune.diameter2 && self.cfg.gamma >= 0.5;
         // Rank of each candidate *vertex* in the processing order, for the
         // seed fast path's membership test (`u32::MAX` = not a candidate).
-        let mut children: Vec<SearchNode> = Vec::with_capacity(skip_from);
         let rank: Option<Vec<u32>> = if is_seed && use_diameter {
             let mut r = vec![u32::MAX; self.g.num_vertices()];
             for (pos, &j) in order.iter().enumerate() {
@@ -1241,6 +1424,7 @@ impl<'a> Ctx<'a> {
             }
             stats.kernel_ops += (cleared + node.x.len() + node.cands.len()) as u64;
         }
+        let first_child = work.len();
         for (pos, &jidx) in order.iter().enumerate().take(skip_from) {
             let idx = jidx as usize;
             let v = node.cands[idx];
@@ -1249,56 +1433,47 @@ impl<'a> Ctx<'a> {
                 // has diameter ≤ 2, so the seed's candidates come from its
                 // two-hop neighborhood — no scan over the full candidate
                 // list (which is the entire graph at the root).
-                children.push(self.seed_child(v, pos as u32, rank, stats));
+                work.push_back(self.seed_child(v, pos as u32, rank, stats));
                 continue;
             }
             if self.bits_on {
-                children.push(self.pivot_child_batched(&node, v, order.len() - pos - 1, stats));
+                work.push_back(self.pivot_child_batched(node, v, order.len() - pos - 1, stats));
                 continue;
             }
             self.mark_neighbors(v, stats);
 
-            let mut child_x = node.x.clone();
-            child_x.push(v);
-            let mut child_x_indeg = node.x_indeg.clone();
+            let remaining = order.len() - pos - 1;
+            let mut child = self.s.node(x_len + 1, remaining);
+            child.x.extend_from_slice(&node.x);
+            child.x.push(v);
+            child.x_indeg.extend_from_slice(&node.x_indeg);
             for (i, &u) in node.x.iter().enumerate() {
                 if self.marked_adjacent(v, u, stats) {
-                    child_x_indeg[i] += 1;
+                    child.x_indeg[i] += 1;
                 }
             }
-            child_x_indeg.push(node.cands_indeg[idx]);
+            child.x_indeg.push(node.cands_indeg[idx]);
 
-            let remaining = order.len() - pos - 1;
-            let mut child_pairs: Vec<(VertexId, u32)> = Vec::with_capacity(remaining);
+            pairs.clear();
             for &jnext in order.iter().skip(pos + 1) {
                 let j = jnext as usize;
                 let w = node.cands[j];
                 let bump = self.marked_adjacent(v, w, stats) as u32;
-                child_pairs.push((w, node.cands_indeg[j] + bump));
+                pairs.push((w, node.cands_indeg[j] + bump));
             }
             // Keep candidate lists ascending: each node re-derives its own
             // cover ordering, and sorted lists keep emission cheap.
-            child_pairs.sort_unstable_by_key(|&(w, _)| w);
-            children.push(SearchNode {
-                x: child_x,
-                x_indeg: child_x_indeg,
-                cands: child_pairs.iter().map(|&(w, _)| w).collect(),
-                cands_indeg: child_pairs.iter().map(|&(_, d)| d).collect(),
-            });
+            pairs.sort_unstable_by_key(|&(w, _)| w);
+            child.cands.extend(pairs.iter().map(|&(w, _)| w));
+            child.cands_indeg.extend(pairs.iter().map(|&(_, d)| d));
+            work.push_back(child);
         }
-        match self.order {
-            // Stack: push in reverse so the first pivot is processed first,
-            // matching the canonical DFS order {1}, {1,2}, {1,2,3}, ...
-            SearchOrder::Dfs => {
-                for child in children.into_iter().rev() {
-                    work.push_back(child);
-                }
-            }
-            SearchOrder::Bfs => {
-                for child in children {
-                    work.push_back(child);
-                }
-            }
+        // Stack: reverse the new children so the first pivot is processed
+        // first, matching the canonical DFS order {1}, {1,2}, {1,2,3}, ...
+        // DFS only pushes and pops at the back, so the deque never wraps
+        // and `make_contiguous` moves nothing.
+        if self.order == SearchOrder::Dfs {
+            work.make_contiguous()[first_child..].reverse();
         }
     }
 
@@ -1320,7 +1495,8 @@ impl<'a> Ctx<'a> {
         // neighbor-list traversal with a visited stamp on both paths.
         self.s.nbr_mark.begin();
         self.s.nbr_mark.set(v);
-        let mut reach: Vec<VertexId> = Vec::new();
+        let mut reach = std::mem::take(&mut self.s.reach);
+        reach.clear();
         for &u in self.g.neighbors(v) {
             if !self.s.nbr_mark.get(u) {
                 self.s.nbr_mark.set(u);
@@ -1343,41 +1519,41 @@ impl<'a> Ctx<'a> {
         let bits_on = self.bits_on;
         let cand_bits = &self.s.cand_bits;
         let cand_mark = &self.s.cand_mark;
-        let mut child_cands: Vec<VertexId> = reach
-            .into_iter()
-            .filter(|&w| {
-                let is_cand = if bits_on {
-                    cand_bits.contains(w)
-                } else {
-                    cand_mark.get(w)
-                };
-                is_cand && rank[w as usize] != u32::MAX && rank[w as usize] > pos
-            })
-            .collect();
-        child_cands.sort_unstable();
-        let child_indeg: Vec<u32> = if self.bits_on {
-            stats.edge_tests += child_cands.len() as u64;
-            stats.kernel_ops += child_cands.len() as u64;
-            child_cands
-                .iter()
-                .map(|&w| self.s.adj.has_edge(v, w) as u32)
-                .collect()
+        reach.retain(|&w| {
+            let is_cand = if bits_on {
+                cand_bits.contains(w)
+            } else {
+                cand_mark.get(w)
+            };
+            is_cand && rank[w as usize] != u32::MAX && rank[w as usize] > pos
+        });
+        reach.sort_unstable();
+        // Sized by the filtered reach: every root child is queued at once,
+        // so over-sized lists here would add up over all seeds.
+        let mut child = self.s.node(1, reach.len());
+        child.x.push(v);
+        child.x_indeg.push(0);
+        child.cands.extend_from_slice(&reach);
+        self.s.reach = reach;
+        let found = child.cands.len() as u64;
+        stats.edge_tests += found;
+        if self.bits_on {
+            stats.kernel_ops += found;
+            let adj = &self.s.adj;
+            child
+                .cands_indeg
+                .extend(child.cands.iter().map(|&w| adj.has_edge(v, w) as u32));
         } else {
             let nv = self.g.neighbors(v);
-            stats.edge_tests += child_cands.len() as u64;
-            stats.kernel_ops +=
-                child_cands.len() as u64 * (1 + usize::BITS - nv.len().leading_zeros()) as u64;
-            child_cands
-                .iter()
-                .map(|w| nv.binary_search(w).is_ok() as u32)
-                .collect()
-        };
-        SearchNode {
-            x: vec![v],
-            x_indeg: vec![0],
-            cands: child_cands,
-            cands_indeg: child_indeg,
+            stats.kernel_ops += found * (1 + usize::BITS - nv.len().leading_zeros()) as u64;
+            child.cands_indeg.extend(
+                child
+                    .cands
+                    .iter()
+                    .map(|w| nv.binary_search(w).is_ok() as u32),
+            );
         }
+        child
     }
 
     /// Builds the child node of pivot `v` on the bitset path, fully
@@ -1399,8 +1575,9 @@ impl<'a> Ctx<'a> {
     ) -> SearchNode {
         let mut batch = 0u64;
         self.s.cand_bits.remove(v);
-        let mut child_x = node.x.clone();
-        let mut child_x_indeg = node.x_indeg.clone();
+        let mut child = self.s.node(node.x.len() + 1, later);
+        child.x.extend_from_slice(&node.x);
+        child.x_indeg.extend_from_slice(&node.x_indeg);
         {
             let row = self.s.adj.row(v);
             let x_words = self.s.x_bits.words();
@@ -1415,15 +1592,15 @@ impl<'a> Ctx<'a> {
                     let bit = m.trailing_zeros() as usize;
                     m &= m - 1;
                     let u = wi * 64 + bit;
-                    child_x_indeg[self.s.x_pos[u] as usize] += 1;
+                    child.x_indeg[self.s.x_pos[u] as usize] += 1;
                 }
             }
         }
         stats.probes_elided += node.x.len() as u64;
-        child_x.push(v);
-        child_x_indeg.push(node.cands_indeg[self.s.cand_pos[v as usize] as usize]);
-        let mut child_cands: Vec<VertexId> = Vec::with_capacity(later);
-        let mut child_indeg: Vec<u32> = Vec::with_capacity(later);
+        child.x.push(v);
+        child
+            .x_indeg
+            .push(node.cands_indeg[self.s.cand_pos[v as usize] as usize]);
         let row = self.s.adj.row(v);
         let cand_words = self.s.cand_bits.words();
         for &wi in &self.s.cand_active {
@@ -1440,20 +1617,17 @@ impl<'a> Ctx<'a> {
                 bits &= bits - 1;
                 let w = (wi * 64 + bit) as VertexId;
                 let j = self.s.cand_pos[w as usize] as usize;
-                child_cands.push(w);
-                child_indeg.push(node.cands_indeg[j] + ((m >> bit) & 1) as u32);
+                child.cands.push(w);
+                child
+                    .cands_indeg
+                    .push(node.cands_indeg[j] + ((m >> bit) & 1) as u32);
             }
         }
-        debug_assert_eq!(child_cands.len(), later);
+        debug_assert_eq!(child.cands.len(), later);
         stats.probes_elided += later as u64;
         stats.batch_ops += batch;
         stats.kernel_ops += batch;
-        SearchNode {
-            x: child_x,
-            x_indeg: child_x_indeg,
-            cands: child_cands,
-            cands_indeg: child_indeg,
-        }
+        child
     }
 
     /// Gathered fused popcount `|row(v) ∩ set_words|` over the sparser of
@@ -1587,7 +1761,8 @@ impl<'a> Ctx<'a> {
 
     /// Handles a found quasi-clique (degree property + min size hold).
     /// `set` may arrive unsorted (X grows in pivot order, and critical
-    /// forcing appends out of order); it is sorted here.
+    /// forcing appends out of order); it is sorted here. A set that is not
+    /// kept goes back to the free list.
     fn emit(&mut self, mut set: Vec<VertexId>, stats: &mut SearchStats) {
         set.sort_unstable();
         debug_assert!(self.cfg.is_quasi_clique(self.g, &set));
@@ -1604,25 +1779,29 @@ impl<'a> Ctx<'a> {
             MiningMode::EnumerateMaximal => {
                 if !self.single_extendable(&set, stats) {
                     self.emitted.push(set);
+                    return;
                 }
             }
             MiningMode::TopK(k) => {
-                if !self.single_extendable(&set, stats) {
-                    // Drop buffered subsets of the new set; skip the new set
-                    // if a buffered superset exists.
-                    if self.emitted.iter().any(|kept| is_subset(&set, kept)) {
-                        return;
-                    }
+                // Drop buffered subsets of the new set; skip the new set if
+                // a buffered superset exists.
+                if !self.single_extendable(&set, stats)
+                    && !self.emitted.iter().any(|kept| is_subset(&set, kept))
+                {
                     self.emitted.retain(|kept| !is_subset(kept, &set));
                     self.emitted.push(set);
-                    self.topk_sizes = self.emitted.iter().map(Vec::len).collect();
-                    self.topk_sizes.sort_unstable_by(|a, b| b.cmp(a));
-                    if self.topk_sizes.len() >= k {
-                        self.topk_bound = self.topk_sizes[k - 1];
+                    let sizes = &mut self.s.topk_sizes;
+                    sizes.clear();
+                    sizes.extend(self.emitted.iter().map(Vec::len));
+                    sizes.sort_unstable_by(|a, b| b.cmp(a));
+                    if sizes.len() >= k {
+                        self.topk_bound = sizes[k - 1];
                     }
+                    return;
                 }
             }
         }
+        self.s.recycle(set);
     }
 
     /// Whether a single vertex outside `set` extends it to a larger
@@ -1686,49 +1865,48 @@ impl<'a> Ctx<'a> {
         }
         // Outside vertices adjacent to enough members to survive at size
         // |set| + 1.
-        let candidates: Vec<VertexId> = self
-            .s
-            .touched
-            .iter()
-            .copied()
-            .filter(|&w| self.s.counts[w as usize] as usize >= req)
-            .collect();
-        // Zero the counters through the touched list before any early
-        // return, keeping the scratch clean for the next emission.
+        let mut extenders = std::mem::take(&mut self.s.extenders);
+        extenders.clear();
+        extenders.extend(
+            self.s
+                .touched
+                .iter()
+                .copied()
+                .filter(|&w| self.s.counts[w as usize] as usize >= req),
+        );
+        // Zero the counters through the touched list, keeping the scratch
+        // clean for the next emission.
         for &w in &self.s.touched {
             self.s.counts[w as usize] = 0;
         }
-        if candidates.is_empty() {
-            return false;
-        }
-        // Members whose degree would fall below the requirement unless the
-        // new vertex is their neighbor.
-        let deficient: Vec<VertexId> = if self.bits_on {
-            let active: &[u32] = &self.s.aux_active;
-            let set_words = self.s.aux_bits.words();
-            let mut gathered = 0usize;
-            let deficient: Vec<VertexId> = set
-                .iter()
-                .copied()
-                .filter(|&u| {
+        let mut extendable = false;
+        if !extenders.is_empty() {
+            // Members whose degree would fall below the requirement unless
+            // the new vertex is their neighbor.
+            let mut deficient = std::mem::take(&mut self.s.deficient);
+            deficient.clear();
+            if self.bits_on {
+                let active: &[u32] = &self.s.aux_active;
+                let set_words = self.s.aux_bits.words();
+                let mut gathered = 0usize;
+                deficient.extend(set.iter().copied().filter(|&u| {
                     (self.gathered_degree(u, set_words, active, &mut gathered) as usize) < req
-                })
-                .collect();
-            stats.kernel_ops += gathered as u64;
-            stats.fused_ops += set.len() as u64;
-            deficient
-        } else {
-            set.iter()
-                .copied()
-                .filter(|&u| {
+                }));
+                stats.kernel_ops += gathered as u64;
+                stats.fused_ops += set.len() as u64;
+            } else {
+                deficient.extend(set.iter().copied().filter(|&u| {
                     stats.kernel_ops += (self.g.degree(u).min(set.len())) as u64;
                     self.g.degree_within(u, set) < req
-                })
-                .collect()
-        };
-        candidates
-            .iter()
-            .any(|&w| deficient.iter().all(|&u| self.edge(u, w, stats)))
+                }));
+            }
+            extendable = extenders
+                .iter()
+                .any(|&w| deficient.iter().all(|&u| self.edge(u, w, stats)));
+            self.s.deficient = deficient;
+        }
+        self.s.extenders = extenders;
+        extendable
     }
 }
 
@@ -1937,6 +2115,65 @@ mod tests {
                 .with_prune(flags)
                 .enumerate_maximal();
             assert_eq!(sets(&out), baseline, "flags {flags:?}");
+        }
+    }
+
+    #[test]
+    fn stamp_generation_wraparound_clears_marks() {
+        let mut stamp = Stamp::default();
+        stamp.reset(4);
+        stamp.gen = u32::MAX - 1;
+        stamp.begin();
+        stamp.set(0);
+        assert!(stamp.get(0));
+        // The next generation wraps the counter: nothing may read as set,
+        // neither the never-set marks (0) nor the one set just before.
+        stamp.begin();
+        assert!((0..4).all(|v| !stamp.get(v)));
+        stamp.set(2);
+        assert!(stamp.get(2) && !stamp.get(0));
+        stamp.begin();
+        assert!((0..4).all(|v| !stamp.get(v)));
+    }
+
+    /// A 12-vertex graph on which a top-k bound that rises during the
+    /// search would cut a subtree holding one of the best three patterns
+    /// under BFS. The expected top-3 is brute force's.
+    #[test]
+    fn top_k_matches_bruteforce_on_twelve_vertex_graph() {
+        let edges = "0-3 0-4 0-5 0-7 0-8 0-11 1-2 1-4 1-6 1-7 1-11 2-4 2-5 2-6 2-9 2-10 \
+                     2-11 3-6 3-7 3-8 3-9 3-10 3-11 4-5 4-9 4-10 5-6 5-8 5-10 6-7 6-9 \
+                     6-11 7-9 7-10 9-10 9-11 10-11";
+        let g = graph_from_edges(
+            12,
+            edges.split_whitespace().map(|e| {
+                let (u, v) = e.split_once('-').unwrap();
+                (u.parse().unwrap(), v.parse().unwrap())
+            }),
+        );
+        let cfg = QcConfig::new(0.5, 3);
+        let expect: Vec<Vec<VertexId>> = vec![
+            vec![0, 1, 2, 3, 4, 5, 6, 7, 9, 10, 11],
+            vec![0, 2, 3, 4, 5, 6, 8],
+            vec![0, 2, 3, 4, 5, 8, 9],
+        ];
+        let brute: Vec<Vec<VertexId>> = crate::bruteforce::top_k(&g, &cfg, 3)
+            .into_iter()
+            .map(|q| q.vertices)
+            .collect();
+        assert_eq!(brute, expect);
+        for order in [SearchOrder::Dfs, SearchOrder::Bfs] {
+            for repr in [Representation::Slice, Representation::Bitset] {
+                let got: Vec<Vec<VertexId>> = Miner::new(&g, cfg)
+                    .with_order(order)
+                    .with_repr(repr)
+                    .top_k(3)
+                    .cliques
+                    .into_iter()
+                    .map(|q| q.vertices)
+                    .collect();
+                assert_eq!(got, expect, "{order:?} {repr:?}");
+            }
         }
     }
 

@@ -22,17 +22,6 @@ pub struct SearchNode {
 }
 
 impl SearchNode {
-    /// The root node: empty `X`, all (surviving) vertices as candidates.
-    pub fn root(vertices: Vec<VertexId>) -> Self {
-        let k = vertices.len();
-        SearchNode {
-            x: Vec::new(),
-            x_indeg: Vec::new(),
-            cands: vertices,
-            cands_indeg: vec![0; k],
-        }
-    }
-
     /// Total size of the subtree's largest possible set.
     #[inline]
     pub fn upper_size(&self) -> usize {
@@ -166,13 +155,5 @@ mod tests {
         // A candidate adjacent to both members and one other candidate is
         // feasible for size 3 (needs degree 2).
         assert!(candidate_feasible(&cfg, 2, 1, 2, 3));
-    }
-
-    #[test]
-    fn root_node_shape() {
-        let root = SearchNode::root(vec![0, 1, 2]);
-        assert_eq!(root.upper_size(), 3);
-        assert!(root.x.is_empty());
-        assert_eq!(root.cands_indeg, vec![0, 0, 0]);
     }
 }

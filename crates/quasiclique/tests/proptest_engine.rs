@@ -65,21 +65,15 @@ proptest! {
         prop_assert_eq!(cov.covered, union);
     }
 
+    /// `pattern_order` is total (ties in size and ratio fall back to the
+    /// vertex sets), so the engine's top-k must be exactly the prefix of
+    /// brute force's ranking, vertex sets included, in both orders.
     #[test]
     fn top_k_is_prefix_of_full_ranking(g in small_graph(), cfg in qc_params(), k in 1usize..=4) {
         let expect = bruteforce::top_k(&g, &cfg, k);
-        let got = Miner::new(&g, cfg).top_k(k);
-        prop_assert_eq!(got.cliques.len(), expect.len());
-        for (a, b) in got.cliques.iter().zip(expect.iter()) {
-            // Size and ratio must match the reference ranking; vertex sets
-            // may differ among exact ties.
-            prop_assert_eq!(a.size(), b.size());
-            prop_assert!((a.min_degree_ratio - b.min_degree_ratio).abs() < 1e-12);
-        }
-        // And each returned set must be a genuine maximal quasi-clique.
-        let maximal = bruteforce::maximal_quasi_cliques(&g, &cfg);
-        for q in &got.cliques {
-            prop_assert!(maximal.contains(&q.vertices));
+        for order in [SearchOrder::Dfs, SearchOrder::Bfs] {
+            let got = Miner::new(&g, cfg).with_order(order).top_k(k);
+            prop_assert_eq!(&got.cliques, &expect, "order {:?}", order);
         }
     }
 
@@ -227,13 +221,7 @@ proptest! {
                     .cliques.into_iter().map(|q| q.vertices).collect();
                 got.sort();
                 prop_assert_eq!(&got, &maximal, "{:?} {:?}", order, repr);
-                let got = miner.top_k(k).cliques;
-                prop_assert_eq!(got.len(), top.len(), "{:?} {:?}", order, repr);
-                for (a, b) in got.iter().zip(top.iter()) {
-                    prop_assert_eq!(a.size(), b.size());
-                    prop_assert!((a.min_degree_ratio - b.min_degree_ratio).abs() < 1e-12);
-                    prop_assert!(maximal.contains(&a.vertices));
-                }
+                prop_assert_eq!(&miner.top_k(k).cliques, &top, "{:?} {:?}", order, repr);
             }
         }
     }
