@@ -55,7 +55,7 @@ use std::sync::Arc;
 use scpm_bench::baseline::{parse_baseline, WorkloadBaseline};
 use scpm_bench::timed;
 use scpm_core::{
-    DirtySet, IncrementalCtx, NullModelCache, ParallelConfig, Scpm, ScpmParams, ScpmResult,
+    DirtySet, MiningState, NullModelCache, ParallelConfig, Scpm, ScpmParams, ScpmResult,
 };
 use scpm_datasets::{
     citeseer_like, dblp_like, dense_clique_like, lastfm_like, skewed_attr_like, sparse_star_like,
@@ -418,16 +418,13 @@ fn run_streaming(scale: f64, timing: bool) -> StreamingReport {
         .with_top_k(3)
         .with_max_attrs(3);
     let config = ParallelConfig::new(1);
-    let base = dblp_like(scale, seed).graph;
+    let base = Arc::new(dblp_like(scale, seed).graph);
     let deltas = streaming_deltas(&base);
-    let mut scpm = Scpm::with_cache(&base, params.clone(), Arc::new(NullModelCache::new()))
-        .with_incremental(IncrementalCtx::recording());
-    let _ = scpm.run_scheduled(&config);
-    let (mut memo, _) = scpm.take_incremental().expect("recording ctx").into_parts();
-    let mut current = base;
+    let cache = Arc::new(NullModelCache::new());
+    let (mut current, _, _) = MiningState::record(base, cache, &params, &config);
     let mut steps = Vec::new();
     for delta in &deltas {
-        let applied = delta.apply(&current).expect("well-formed delta");
+        let applied = delta.apply(current.graph()).expect("well-formed delta");
         let (full, full_secs) = timed(|| {
             Scpm::with_cache(
                 &applied.graph,
@@ -439,14 +436,10 @@ fn run_streaming(scale: f64, timing: bool) -> StreamingReport {
         let dirty = DirtySet::from_delta(&applied.graph, &applied);
         let dirty_attrs = dirty.dirty_attr_ids().len();
         let edge_caps = dirty.num_edge_caps();
-        let mut scpm = Scpm::with_cache(
-            &applied.graph,
-            params.clone(),
-            Arc::new(NullModelCache::new()),
-        )
-        .with_incremental(IncrementalCtx::update(Arc::new(memo), dirty));
-        let (incremental, inc_secs) = timed(|| scpm.run_scheduled(&config));
-        let (new_memo, stats) = scpm.take_incremental().expect("update ctx").into_parts();
+        let memo = Arc::clone(current.memo());
+        let graph = Arc::new(applied.graph);
+        let ((next, incremental, stats), inc_secs) =
+            timed(|| MiningState::update(memo, graph, dirty, &params, &config));
         let examined_full = full.stats.attribute_sets_examined;
         steps.push(StreamingStep {
             dirty_attrs,
@@ -462,8 +455,7 @@ fn run_streaming(scale: f64, timing: bool) -> StreamingReport {
             identical: fingerprint(&full) == fingerprint(&incremental),
             strictly_fewer: stats.reevaluated < examined_full,
         });
-        memo = new_memo;
-        current = applied.graph;
+        current = next;
     }
     StreamingReport { scale, seed, steps }
 }

@@ -26,7 +26,7 @@ use scpm_graph::csr::CsrGraph;
 use scpm_graph::degree::DegreeDistribution;
 use scpm_quasiclique::QcConfig;
 
-use crate::nullmodel::{LnFactorial, ModelKind, NullModelCache};
+use crate::nullmodel::{ExpectedCorrelation, LnFactorial, ModelKind, NullModelCache};
 
 /// `P[Hypergeometric(population, successes, draws) = k]` via a
 /// log-factorial table. Zero when the configuration is impossible.
@@ -152,19 +152,10 @@ impl ExactModel {
         acc.min(1.0)
     }
 
-    /// Normalized structural correlation `δ_exact = ε / exact-exp(σ)`
-    /// (0 for `ε = 0`, `+∞` when the expectation vanishes but `ε > 0`).
+    /// Normalized structural correlation `δ_exact = ε / exact-exp(σ)`,
+    /// under the convention of [`ExpectedCorrelation::normalized`].
     pub fn normalize(&self, epsilon: f64, sigma: usize) -> f64 {
-        let e = self.expected(sigma);
-        if e <= 0.0 {
-            if epsilon > 0.0 {
-                f64::INFINITY
-            } else {
-                0.0
-            }
-        } else {
-            epsilon / e
-        }
+        self.normalized(epsilon, sigma)
     }
 }
 

@@ -48,6 +48,12 @@ use scpm_graph::csr::VertexId;
 use scpm_graph::delta::AppliedDelta;
 use scpm_quasiclique::{QuasiClique, SearchStats};
 
+use crate::nullmodel::NullModelCache;
+use crate::parallel::ParallelConfig;
+use crate::params::ScpmParams;
+use crate::pattern::ScpmResult;
+use crate::Scpm;
+
 /// The memoized outcome of one attribute set's evaluation.
 #[derive(Clone, Debug)]
 pub struct EvalRecord {
@@ -98,11 +104,12 @@ impl DirtySet {
     }
 
     /// The nothing-is-dirty set over a graph with `num_attrs` attributes:
-    /// every memoized set with stable parents replays. This is the
-    /// recovery path's "replay without a recording mine" — a restarted
-    /// server re-drives the lattice structurally but reuses every
-    /// persisted evaluation, because the graph is byte-identical to the
-    /// one the memo was recorded against (see `docs/DURABILITY.md`).
+    /// every memoized set with stable parents replays. Recovery starts
+    /// from it and unions in each journaled delta's region; with no
+    /// delta, a restarted server re-drives the lattice structurally but
+    /// reuses every persisted evaluation, because the graph is
+    /// byte-identical to the one the memo was recorded against (see
+    /// `docs/DURABILITY.md`).
     pub fn clean(num_attrs: usize) -> DirtySet {
         DirtySet {
             all_dirty: false,
@@ -131,16 +138,39 @@ impl DirtySet {
         }
     }
 
+    /// Widens this region by `other`: afterwards a set is dirty iff it was
+    /// dirty in either. The dirty region of a sequence of insert-only
+    /// deltas is the union of their regions (each computed on the graph
+    /// its delta produced): `V(S)` or `G(S)` changed across the sequence
+    /// only if some step changed it. A novel edge whose cap grows in a
+    /// later step to contain `S` gained an attribute of `S` at an
+    /// endpoint, which makes `S` attribute-dirty in that step.
+    pub fn union_with(&mut self, other: &DirtySet) {
+        self.all_dirty |= other.all_dirty;
+        let len = self.dirty_attrs.len().max(other.dirty_attrs.len());
+        self.dirty_attrs = (0..len)
+            .map(|a| self.attr_dirty(a) || other.attr_dirty(a))
+            .collect();
+        for cap in &other.edge_caps {
+            if !self.edge_caps.contains(cap) {
+                self.edge_caps.push(cap.clone());
+            }
+        }
+    }
+
+    /// Whether attribute `a` is dirty by assignment (an id past the table
+    /// this set was built over is unknown, hence dirty).
+    fn attr_dirty(&self, a: usize) -> bool {
+        self.dirty_attrs.get(a).copied().unwrap_or(true)
+    }
+
     /// Whether `V(S)` or `G(S)` may have changed for the sorted attribute
     /// set `attrs`.
     pub fn is_dirty(&self, attrs: &[AttrId]) -> bool {
         if self.all_dirty {
             return true;
         }
-        if attrs
-            .iter()
-            .any(|&a| self.dirty_attrs.get(a as usize).copied().unwrap_or(true))
-        {
+        if attrs.iter().any(|&a| self.attr_dirty(a as usize)) {
             return true;
         }
         self.edge_caps.iter().any(|cap| is_subset(attrs, cap))
@@ -221,7 +251,7 @@ pub struct IncrementalStats {
     pub reused_kernel_ops: u64,
 }
 
-/// The incremental context a [`Scpm`](crate::Scpm) run carries: the memo
+/// The incremental context a [`Scpm`] run carries: the memo
 /// of the previous generation, the dirty region of the delta, and the memo
 /// being recorded for the *next* generation.
 ///
@@ -245,7 +275,6 @@ pub struct IncrementalCtx {
     dirty: DirtySet,
     /// Memo of the run in progress.
     new_memo: Mutex<EvalMemo>,
-    recording: bool,
     reused: AtomicU64,
     reevaluated: AtomicU64,
     live_kernel_ops: AtomicU64,
@@ -255,16 +284,7 @@ pub struct IncrementalCtx {
 impl IncrementalCtx {
     /// A recording context: evaluate everything live, fill the memo.
     pub fn recording() -> IncrementalCtx {
-        IncrementalCtx {
-            memo: Arc::new(EvalMemo::new()),
-            dirty: DirtySet::all(),
-            new_memo: Mutex::new(EvalMemo::new()),
-            recording: true,
-            reused: AtomicU64::new(0),
-            reevaluated: AtomicU64::new(0),
-            live_kernel_ops: AtomicU64::new(0),
-            reused_kernel_ops: AtomicU64::new(0),
-        }
+        IncrementalCtx::update(Arc::new(EvalMemo::new()), DirtySet::all())
     }
 
     /// An update context: replay `memo` records outside the `dirty` region.
@@ -273,7 +293,6 @@ impl IncrementalCtx {
             memo,
             dirty,
             new_memo: Mutex::new(EvalMemo::new()),
-            recording: false,
             reused: AtomicU64::new(0),
             reevaluated: AtomicU64::new(0),
             live_kernel_ops: AtomicU64::new(0),
@@ -281,20 +300,10 @@ impl IncrementalCtx {
         }
     }
 
-    /// Whether this context is in recording mode (no replays).
-    pub fn is_recording(&self) -> bool {
-        self.recording
-    }
-
-    /// The dirty region this context was built with.
-    pub fn dirty(&self) -> &DirtySet {
-        &self.dirty
-    }
-
     /// Looks up a replayable record: the set must be clean, its parents'
     /// covers unchanged, and a record present.
     pub(crate) fn replayable(&self, attrs: &[AttrId], parents_stable: bool) -> Option<&EvalRecord> {
-        if self.recording || !parents_stable || self.dirty.is_dirty(attrs) {
+        if !parents_stable || self.dirty.is_dirty(attrs) {
             return None;
         }
         self.memo.get(attrs)
@@ -337,6 +346,98 @@ impl IncrementalCtx {
     pub fn into_parts(self) -> (EvalMemo, IncrementalStats) {
         let stats = self.stats();
         (self.new_memo.into_inner(), stats)
+    }
+}
+
+/// One mined graph version: the graph, the `exp(σ)` cache computed
+/// against it, and the evaluation memo of the last mine over it.
+///
+/// This is the generation step of every incremental mine — the server's
+/// startup mine, `POST /mine`, `POST /update` and restart recovery, and
+/// `scpm update` / `scpm recover`. A step is one of two mines:
+///
+/// * [`MiningState::record`] — a recording mine of a graph under a
+///   caller-supplied cache (a same-graph re-mine passes the current
+///   version's cache, so `exp(σ)` values survive a parameter change);
+/// * [`MiningState::update`] — an update-mode mine of a new graph against
+///   the previous version's memo, replaying every set outside `dirty`,
+///   with a fresh cache (`exp(σ)` is a function of the graph).
+///
+/// Either way the new memo is complete, so steps chain. Only a mine
+/// builds a state, so its memo and cache always belong to its graph. The
+/// parts are shared `Arc`s: a server swaps the whole state in one store,
+/// and readers holding the previous version keep a consistent triple.
+#[derive(Debug)]
+pub struct MiningState {
+    graph: Arc<AttributedGraph>,
+    cache: Arc<NullModelCache>,
+    memo: Arc<EvalMemo>,
+}
+
+impl MiningState {
+    /// The mined graph.
+    pub fn graph(&self) -> &Arc<AttributedGraph> {
+        &self.graph
+    }
+
+    /// The `exp(σ)` memo of [`MiningState::graph`].
+    pub fn cache(&self) -> &Arc<NullModelCache> {
+        &self.cache
+    }
+
+    /// The per-set evaluation memo of the mine that built this state.
+    pub fn memo(&self) -> &Arc<EvalMemo> {
+        &self.memo
+    }
+
+    /// A recording mine of `graph` under `cache`: every set is evaluated
+    /// live and recorded. Returns the new version, the mining result and
+    /// the run's counters.
+    pub fn record(
+        graph: Arc<AttributedGraph>,
+        cache: Arc<NullModelCache>,
+        params: &ScpmParams,
+        config: &ParallelConfig,
+    ) -> (MiningState, ScpmResult, IncrementalStats) {
+        Self::mine(graph, cache, params, config, IncrementalCtx::recording())
+    }
+
+    /// An update-mode mine of `graph` against `memo`, the memo of an
+    /// earlier version under the same `params`: sets outside `dirty` whose
+    /// parents' covers are unchanged replay their records. The result is
+    /// byte-identical to a fresh mine of `graph` as long as `dirty` covers
+    /// every set whose `V(S)` or `G(S)` changed since `memo` was recorded.
+    pub fn update(
+        memo: Arc<EvalMemo>,
+        graph: Arc<AttributedGraph>,
+        dirty: DirtySet,
+        params: &ScpmParams,
+        config: &ParallelConfig,
+    ) -> (MiningState, ScpmResult, IncrementalStats) {
+        let ctx = IncrementalCtx::update(memo, dirty);
+        Self::mine(graph, Arc::new(NullModelCache::new()), params, config, ctx)
+    }
+
+    fn mine(
+        graph: Arc<AttributedGraph>,
+        cache: Arc<NullModelCache>,
+        params: &ScpmParams,
+        config: &ParallelConfig,
+        ctx: IncrementalCtx,
+    ) -> (MiningState, ScpmResult, IncrementalStats) {
+        let mut scpm =
+            Scpm::with_cache(&graph, params.clone(), Arc::clone(&cache)).with_incremental(ctx);
+        let result = scpm.run_scheduled(config);
+        let (memo, stats) = scpm
+            .take_incremental()
+            .expect("a mine keeps its incremental context")
+            .into_parts();
+        let state = MiningState {
+            graph,
+            cache,
+            memo: Arc::new(memo),
+        };
+        (state, result, stats)
     }
 }
 
@@ -427,10 +528,54 @@ mod tests {
     }
 
     #[test]
+    fn union_of_step_regions_covers_every_step() {
+        // Step 1 wires paper vertices 5 and 8 (F(5) ∩ F(8) = {A}); step 2
+        // gives 5 attribute B and a new attribute X. {B} is clean after
+        // step 1 but dirty in the union, as is every set step 1 dirtied.
+        let g = figure1();
+        let (u, v) = (paper_vertex(5), paper_vertex(8));
+        let step1 = GraphDelta::parse(&format!("e {u} {v}\n"))
+            .unwrap()
+            .apply(&g)
+            .unwrap();
+        let step2 = GraphDelta::parse(&format!("a {u} B X\n"))
+            .unwrap()
+            .apply(&step1.graph)
+            .unwrap();
+        let first = DirtySet::from_delta(&step1.graph, &step1);
+        let second = DirtySet::from_delta(&step2.graph, &step2);
+        let a = g.attr_id("A").unwrap();
+        let b = g.attr_id("B").unwrap();
+        let c = g.attr_id("C").unwrap();
+        let x = step2.graph.attr_id("X").unwrap();
+        assert!(!first.is_dirty(&[b]));
+
+        let mut union = DirtySet::clean(g.num_attributes());
+        assert!(union.is_empty());
+        union.union_with(&first);
+        union.union_with(&second);
+        for set in [vec![a], vec![b], vec![a, b], vec![x], vec![b, x]] {
+            assert!(union.is_dirty(&set), "{set:?}");
+            assert_eq!(
+                union.is_dirty(&set),
+                first.is_dirty(&set) || second.is_dirty(&set)
+            );
+        }
+        assert!(!union.is_dirty(&[c]));
+        assert!(!union.is_dirty(&[a, c]));
+        assert_eq!(union.dirty_attr_ids(), vec![b, x]);
+        assert_eq!(union.num_edge_caps(), 1, "the cap {{A}} is kept once");
+        union.union_with(&first);
+        assert_eq!(union.num_edge_caps(), 1);
+
+        union.union_with(&DirtySet::all());
+        assert!(union.is_dirty(&[c]));
+    }
+
+    #[test]
     fn recording_context_marks_everything_dirty() {
         let ctx = IncrementalCtx::recording();
-        assert!(ctx.is_recording());
-        assert!(ctx.dirty().is_dirty(&[0]));
+        assert!(ctx.dirty.is_dirty(&[0]));
         assert!(ctx.replayable(&[0], true).is_none());
         ctx.store(
             &[0],

@@ -61,7 +61,9 @@ pub mod store;
 pub use algorithm::Scpm;
 pub use correlation::{CorrelationEngine, CorrelationOutcome};
 pub use hypergeom::{hypergeometric_pmf, hypergeometric_tail, ExactModel};
-pub use incremental::{DirtySet, EvalMemo, EvalRecord, IncrementalCtx, IncrementalStats};
+pub use incremental::{
+    DirtySet, EvalMemo, EvalRecord, IncrementalCtx, IncrementalStats, MiningState,
+};
 pub use memoio::{decode_memo, encode_memo, params_fingerprint, DecodedMemo, MemoError};
 pub use naive::run_naive;
 pub use nullmodel::{

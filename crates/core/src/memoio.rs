@@ -432,17 +432,18 @@ pub fn decode_memo(data: &[u8]) -> Result<DecodedMemo, MemoError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::incremental::MiningState;
+    use crate::nullmodel::NullModelCache;
     use crate::parallel::ParallelConfig;
-    use crate::Scpm;
     use scpm_graph::figure1::figure1;
+    use std::sync::Arc;
 
     fn sample_memo() -> (EvalMemo, ScpmParams) {
-        let g = figure1();
+        let g = Arc::new(figure1());
         let params = ScpmParams::new(4, 0.5, 3).with_min_attrs(1);
-        let mut scpm = Scpm::new(&g, params.clone())
-            .with_incremental(crate::incremental::IncrementalCtx::recording());
-        let _ = scpm.run_scheduled(&ParallelConfig::new(1));
-        let (memo, _) = scpm.take_incremental().unwrap().into_parts();
+        let cache = Arc::new(NullModelCache::new());
+        let (state, _, _) = MiningState::record(g, cache, &params, &ParallelConfig::new(1));
+        let memo = EvalMemo::clone(state.memo());
         assert!(!memo.is_empty());
         (memo, params)
     }

@@ -372,21 +372,10 @@ impl AnalyticalModel {
         acc.min(1.0)
     }
 
-    /// Normalized structural correlation `δ_lb = ε / max-exp(σ)`.
-    ///
-    /// When `max-exp(σ)` is zero, the ratio is defined as 0 for `ε = 0` and
-    /// `+∞` otherwise.
+    /// Normalized structural correlation `δ_lb = ε / max-exp(σ)`, under
+    /// the convention of [`ExpectedCorrelation::normalized`].
     pub fn normalize(&self, epsilon: f64, sigma: usize) -> f64 {
-        let e = self.expected(sigma);
-        if e <= 0.0 {
-            if epsilon > 0.0 {
-                f64::INFINITY
-            } else {
-                0.0
-            }
-        } else {
-            epsilon / e
-        }
+        self.normalized(epsilon, sigma)
     }
 }
 
@@ -582,19 +571,11 @@ impl<'g> SimulationModel<'g> {
         v
     }
 
-    /// `δ_sim = ε / sim-exp(σ)` (0 for ε = 0, `+∞` when the simulation saw
-    /// no covered vertices but ε is positive).
+    /// `δ_sim = ε / sim-exp(σ)`, under the convention of
+    /// [`ExpectedCorrelation::normalized`] (`+∞` when the simulation saw no
+    /// covered vertices but ε is positive).
     pub fn normalize(&self, epsilon: f64, sigma: usize) -> f64 {
-        let e = self.expected(sigma).mean;
-        if e <= 0.0 {
-            if epsilon > 0.0 {
-                f64::INFINITY
-            } else {
-                0.0
-            }
-        } else {
-            epsilon / e
-        }
+        self.normalized(epsilon, sigma)
     }
 
     /// Empirical p-value of an observed `ε` at support `sigma` under this

@@ -116,6 +116,48 @@ impl ScpmParams {
         self.repr = repr;
         self
     }
+
+    /// Checks every threshold against its domain: `σmin`, `min_size`,
+    /// `k`, `min_attrs` and `max_attrs` at least 1, `γmin ∈ (0, 1]`,
+    /// `εmin ∈ [0, 1]`, `δmin ≥ 0` (NaN is outside every range), and
+    /// `max_attrs ≥ min_attrs`. The error names the parameter by its
+    /// `POST /mine` key. A mine under parameters that fail this either
+    /// panics (`QcConfig` asserts `γ` and `min_size`) or qualifies nothing
+    /// without saying why, so the server and the CLI call it before
+    /// mining.
+    pub fn validate(&self) -> Result<(), String> {
+        for (key, value) in [
+            ("sigma_min", self.sigma_min),
+            ("min_size", self.quasi_clique.min_size),
+            ("top_k", self.k),
+            ("min_attrs", self.min_attrs),
+            ("max_attrs", self.max_attrs),
+        ] {
+            if value < 1 {
+                return Err(format!("`{key}` must be at least 1"));
+            }
+        }
+        let gamma = self.quasi_clique.gamma;
+        if !(gamma > 0.0 && gamma <= 1.0) {
+            return Err(format!("`gamma` must be in (0, 1], got {gamma}"));
+        }
+        if !(0.0..=1.0).contains(&self.eps_min) {
+            return Err(format!("`eps_min` must be in [0, 1], got {}", self.eps_min));
+        }
+        if self.delta_min.is_nan() || self.delta_min < 0.0 {
+            return Err(format!(
+                "`delta_min` must be non-negative, got {}",
+                self.delta_min
+            ));
+        }
+        if self.max_attrs < self.min_attrs {
+            return Err(format!(
+                "`max_attrs` ({}) must be at least `min_attrs` ({})",
+                self.max_attrs, self.min_attrs
+            ));
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -139,6 +181,62 @@ mod tests {
         assert_eq!(p.search_order, SearchOrder::Bfs);
         assert_eq!(p.min_attrs, 2);
         assert_eq!(p.max_attrs, 3);
+    }
+
+    #[test]
+    fn validate_accepts_the_defaults_and_names_each_bad_threshold() {
+        let ok = ScpmParams::new(3, 0.6, 4);
+        assert_eq!(ok.validate(), Ok(()));
+        let spoiled = |spoil: fn(&mut ScpmParams)| {
+            let mut p = ok.clone();
+            spoil(&mut p);
+            p
+        };
+        let cases = [
+            (
+                spoiled(|p| p.sigma_min = 0),
+                "`sigma_min` must be at least 1",
+            ),
+            (
+                spoiled(|p| p.quasi_clique.min_size = 0),
+                "`min_size` must be at least 1",
+            ),
+            (spoiled(|p| p.k = 0), "`top_k` must be at least 1"),
+            (
+                spoiled(|p| p.min_attrs = 0),
+                "`min_attrs` must be at least 1",
+            ),
+            (
+                spoiled(|p| p.quasi_clique.gamma = 0.0),
+                "`gamma` must be in (0, 1], got 0",
+            ),
+            (
+                spoiled(|p| p.quasi_clique.gamma = f64::NAN),
+                "`gamma` must be in (0, 1], got NaN",
+            ),
+            (
+                spoiled(|p| p.eps_min = 2.0),
+                "`eps_min` must be in [0, 1], got 2",
+            ),
+            (
+                spoiled(|p| p.eps_min = f64::NAN),
+                "`eps_min` must be in [0, 1], got NaN",
+            ),
+            (
+                spoiled(|p| p.delta_min = f64::NAN),
+                "`delta_min` must be non-negative, got NaN",
+            ),
+            (
+                spoiled(|p| {
+                    p.min_attrs = 3;
+                    p.max_attrs = 1;
+                }),
+                "`max_attrs` (1) must be at least `min_attrs` (3)",
+            ),
+        ];
+        for (p, message) in cases {
+            assert_eq!(p.validate(), Err(message.to_string()));
+        }
     }
 
     #[test]

@@ -23,12 +23,14 @@
 //! (falling back one generation on corruption), chains every journal's
 //! records into one contiguous delta sequence, repairs a torn tail on
 //! the live journal, and hands the deltas past the chosen snapshot to
-//! [`replay_mine`], which re-mines them through the incremental path —
-//! replaying the persisted memo instead of running a recording mine, so
-//! a restart costs a memo replay, not a full search. The crash-recovery
-//! differential harness (`tests/crash_recovery.rs`) proves every fault
-//! point of this protocol lands on an atomic pre- or post-commit state;
-//! the full protocol is documented in `docs/DURABILITY.md`.
+//! [`replay_mine`], which folds them into the final graph and runs one
+//! incremental mine over the union of their dirty regions — replaying
+//! the persisted memo instead of running a recording mine, so a restart
+//! costs one memo replay however many deltas the journal holds. The
+//! crash-recovery differential harness (`tests/crash_recovery.rs`)
+//! proves every fault point of this protocol lands on an atomic pre- or
+//! post-commit state; the full protocol is documented in
+//! `docs/DURABILITY.md`.
 
 use std::fmt;
 use std::io;
@@ -41,13 +43,12 @@ use scpm_graph::fault::{write_atomic_with, FaultInjector};
 use scpm_graph::journal::{read_journal, repair_torn_tail, JournalError, JournalWriter, TornTail};
 use scpm_graph::snapshot::{self, fnv1a64, SnapshotError};
 
-use crate::incremental::{DirtySet, EvalMemo, IncrementalCtx, IncrementalStats};
+use crate::incremental::{DirtySet, EvalMemo, IncrementalStats, MiningState};
 use crate::memoio::{self, MemoError};
 use crate::nullmodel::NullModelCache;
 use crate::parallel::ParallelConfig;
 use crate::params::ScpmParams;
 use crate::pattern::ScpmResult;
-use crate::Scpm;
 
 /// Errors produced by checkpointing or recovery.
 #[derive(Debug)]
@@ -444,12 +445,9 @@ pub fn recover(dir: &DataDir) -> Result<RecoveredState, StoreError> {
 /// Outcome of [`replay_mine`]: the fully recovered mining state.
 #[derive(Debug)]
 pub struct RecoveredMine {
-    /// The graph after replaying every journaled delta.
-    pub graph: AttributedGraph,
-    /// Evaluation memo of the final mine (recorded, so updates chain).
-    pub memo: EvalMemo,
-    /// `exp(σ)` cache of the final graph version.
-    pub cache: Arc<NullModelCache>,
+    /// The graph after every journaled delta, its `exp(σ)` cache, and the
+    /// evaluation memo of the recovery mine (recorded, so updates chain).
+    pub mining: MiningState,
     /// Mining result over the final graph — byte-identical to a
     /// from-scratch mine (the incremental-path invariant).
     pub result: ScpmResult,
@@ -462,7 +460,7 @@ pub struct RecoveredMine {
     pub memo_replayed: bool,
     /// Why the memo was not replayed, when it was not.
     pub memo_note: Option<String>,
-    /// Summed incremental counters across every replayed step.
+    /// Counters of the one recovery mine.
     pub incremental: IncrementalStats,
     /// Number of journaled deltas replayed.
     pub replayed_deltas: usize,
@@ -472,31 +470,15 @@ pub struct RecoveredMine {
     pub repaired: Option<TornTail>,
 }
 
-/// One incremental mine step shared by the replay fold.
-fn mine_step(
-    graph: &AttributedGraph,
-    params: &ScpmParams,
-    config: &ParallelConfig,
-    ctx: IncrementalCtx,
-) -> (ScpmResult, EvalMemo, IncrementalStats, Arc<NullModelCache>) {
-    let cache = Arc::new(NullModelCache::new());
-    let mut scpm =
-        Scpm::with_cache(graph, params.clone(), Arc::clone(&cache)).with_incremental(ctx);
-    let result = scpm.run_scheduled(config);
-    let (memo, stats) = scpm
-        .take_incremental()
-        .expect("mine keeps its incremental context")
-        .into_parts();
-    (result, memo, stats, cache)
-}
-
-/// Replays a [`RecoveredState`] into a live mining state under `params`:
-/// every journaled delta is applied and re-mined through the incremental
-/// path, chaining memos, so the result is byte-identical to a full mine
-/// of the final graph while reusing every persisted evaluation. When the
-/// memo is unusable (or was recorded under different parameters) the
-/// replay degrades to applying all deltas and running one recording
-/// mine — reported, never silent.
+/// Replays a [`RecoveredState`] into a live mining state under `params`.
+/// Every journaled delta is folded into the final graph, and the union of
+/// their dirty regions bounds what may have changed since the persisted
+/// memo was recorded (`ε(S)` depends only on `V(S)` and `G(S)`). One
+/// update-mode mine of the final graph then replays every set outside
+/// that region, so the result is byte-identical to a full mine however
+/// many deltas the journal holds. When the memo is unusable (or was
+/// recorded under different parameters) the mine is a recording one
+/// instead — reported, never silent.
 pub fn replay_mine(
     state: RecoveredState,
     params: &ScpmParams,
@@ -511,8 +493,6 @@ pub fn replay_mine(
         snapshot_errors,
         repaired,
     } = state;
-    let replayed_deltas = deltas.len();
-    let generation = base_generation + deltas.len() as u64;
 
     let memo = match memo {
         Some((memo, fp)) if fp == memoio::params_fingerprint(params) => Some(memo),
@@ -527,93 +507,34 @@ pub fn replay_mine(
         None => None,
     };
 
-    match memo {
-        None => {
-            // Degraded path: fold the graph forward, then one recording
-            // mine over the final graph.
-            let mut graph = base_graph;
-            for (seq, delta) in (base_generation + 1..).zip(deltas.iter()) {
-                graph = delta
-                    .apply(&graph)
-                    .map_err(|e| StoreError::BadDelta {
-                        seq,
-                        detail: e.to_string(),
-                    })?
-                    .graph;
-            }
-            let (result, memo, stats, cache) =
-                mine_step(&graph, params, config, IncrementalCtx::recording());
-            Ok(RecoveredMine {
-                graph,
-                memo,
-                cache,
-                result,
-                generation,
-                checkpoint_generation: base_generation,
-                memo_replayed: false,
-                memo_note,
-                incremental: stats,
-                replayed_deltas,
-                snapshot_errors,
-                repaired,
-            })
-        }
-        Some(mut prev_memo) => {
-            // Replay path. With no deltas, mine the snapshot graph with
-            // a clean dirty set: the graph is byte-identical to the one
-            // the memo was recorded against, so every set replays.
-            // With deltas, each step's dirty set narrows re-evaluation
-            // to the delta's lattice region (the PR-7 invariant:
-            // byte-identical to a full mine after every step).
-            let mut graph = base_graph;
-            let mut seq = base_generation;
-            let mut total = IncrementalStats::default();
-            let add = |total: &mut IncrementalStats, s: IncrementalStats| {
-                total.reused += s.reused;
-                total.reevaluated += s.reevaluated;
-                total.live_kernel_ops += s.live_kernel_ops;
-                total.reused_kernel_ops += s.reused_kernel_ops;
-            };
-            let (result, memo, cache) = if deltas.is_empty() {
-                let dirty = DirtySet::clean(graph.num_attributes());
-                let ctx = IncrementalCtx::update(Arc::new(prev_memo), dirty);
-                let (r, m, s, c) = mine_step(&graph, params, config, ctx);
-                add(&mut total, s);
-                (r, m, c)
-            } else {
-                let mut last = None;
-                for delta in &deltas {
-                    seq += 1;
-                    let applied = delta.apply(&graph).map_err(|e| StoreError::BadDelta {
-                        seq,
-                        detail: e.to_string(),
-                    })?;
-                    let dirty = DirtySet::from_delta(&applied.graph, &applied);
-                    let ctx = IncrementalCtx::update(Arc::new(prev_memo), dirty);
-                    let (r, m, s, c) = mine_step(&applied.graph, params, config, ctx);
-                    add(&mut total, s);
-                    graph = applied.graph;
-                    prev_memo = m.clone();
-                    last = Some((r, m, c));
-                }
-                last.expect("deltas is non-empty")
-            };
-            Ok(RecoveredMine {
-                graph,
-                memo,
-                cache,
-                result,
-                generation,
-                checkpoint_generation: base_generation,
-                memo_replayed: true,
-                memo_note: None,
-                incremental: total,
-                replayed_deltas,
-                snapshot_errors,
-                repaired,
-            })
-        }
+    let mut graph = base_graph;
+    let mut dirty = DirtySet::clean(graph.num_attributes());
+    for (seq, delta) in (base_generation + 1..).zip(&deltas) {
+        let applied = delta.apply(&graph).map_err(|e| StoreError::BadDelta {
+            seq,
+            detail: e.to_string(),
+        })?;
+        dirty.union_with(&DirtySet::from_delta(&applied.graph, &applied));
+        graph = applied.graph;
     }
+    let graph = Arc::new(graph);
+    let memo_replayed = memo.is_some();
+    let (mining, result, incremental) = match memo {
+        Some(memo) => MiningState::update(Arc::new(memo), graph, dirty, params, config),
+        None => MiningState::record(graph, Arc::new(NullModelCache::new()), params, config),
+    };
+    Ok(RecoveredMine {
+        mining,
+        result,
+        generation: base_generation + deltas.len() as u64,
+        checkpoint_generation: base_generation,
+        memo_replayed,
+        memo_note,
+        incremental,
+        replayed_deltas: deltas.len(),
+        snapshot_errors,
+        repaired,
+    })
 }
 
 #[cfg(test)]
@@ -635,15 +556,17 @@ mod tests {
         crate::parallel::run_parallel_with(graph, params.clone(), &ParallelConfig::new(1))
     }
 
+    fn record_memo(graph: &AttributedGraph, params: &ScpmParams) -> Arc<EvalMemo> {
+        let graph = Arc::new(graph.clone());
+        let cache = Arc::new(NullModelCache::new());
+        let (state, _, _) = MiningState::record(graph, cache, params, &ParallelConfig::new(1));
+        Arc::clone(state.memo())
+    }
+
     fn seed(dir: &DataDir) -> (AttributedGraph, ScpmParams, JournalWriter) {
         let graph = figure1();
         let params = table1_params();
-        let (_, memo, _, _) = mine_step(
-            &graph,
-            &params,
-            &ParallelConfig::new(1),
-            IncrementalCtx::recording(),
-        );
+        let memo = record_memo(&graph, &params);
         let writer = checkpoint(dir, 0, &graph, &memo, &params).unwrap();
         (graph, params, writer)
     }
@@ -702,10 +625,46 @@ mod tests {
             format!("{:?}", full.reports)
         );
         assert_eq!(
-            snapshot::encode(&mine.graph),
+            snapshot::encode(mine.mining.graph()),
             snapshot::encode(&expect),
             "recovered graph must match the delta-applied graph exactly"
         );
+    }
+
+    #[test]
+    fn replay_over_many_deltas_evaluates_each_set_once() {
+        // Recovery runs one mine however long the journal: every lattice
+        // set is either replayed or evaluated live exactly once, and the
+        // result equals a fresh mine of the final graph, counters included.
+        let dir = tdir("one_mine");
+        let (graph, params, mut writer) = seed(&dir);
+        let deltas = ["v 1\ne 0 11\na 11 A\n", "a 1 B\n", "e 1 11\n", "a 4 C\n"];
+        let mut expect = graph;
+        for text in deltas {
+            let delta = GraphDelta::parse(text).unwrap();
+            writer.append(&delta).unwrap();
+            expect = delta.apply(&expect).unwrap().graph;
+        }
+        let mine = replay_mine(recover(&dir).unwrap(), &params, &ParallelConfig::new(1)).unwrap();
+        assert!(mine.memo_replayed);
+        assert_eq!(mine.replayed_deltas, deltas.len());
+        let examined = mine.result.stats.attribute_sets_examined;
+        assert_eq!(
+            mine.incremental.reused + mine.incremental.reevaluated,
+            examined,
+            "{:?}",
+            mine.incremental
+        );
+        assert!(mine.incremental.reused > 0, "{:?}", mine.incremental);
+        let full = full_mine(&expect, &params);
+        assert_eq!(
+            format!("{:?}|{:?}", mine.result.reports, mine.result.patterns),
+            format!("{:?}|{:?}", full.reports, full.patterns)
+        );
+        let (mut got, mut want) = (mine.result.stats, full.stats);
+        got.elapsed = Default::default();
+        want.elapsed = Default::default();
+        assert_eq!(got, want);
     }
 
     #[test]
@@ -719,7 +678,7 @@ mod tests {
         let state = recover(&dir).unwrap();
         let mine = replay_mine(state, &params, &ParallelConfig::new(1)).unwrap();
         drop(writer);
-        let _w1 = checkpoint(&dir, 1, &mine.graph, &mine.memo, &params).unwrap();
+        let _w1 = checkpoint(&dir, 1, mine.mining.graph(), mine.mining.memo(), &params).unwrap();
         let snap1 = dir.snapshot_path(1);
         let mut bytes = std::fs::read(&snap1).unwrap();
         let mid = bytes.len() / 2;
@@ -733,8 +692,8 @@ mod tests {
         let recovered = replay_mine(state, &params, &ParallelConfig::new(1)).unwrap();
         assert_eq!(recovered.generation, 1);
         assert_eq!(
-            snapshot::encode(&recovered.graph),
-            snapshot::encode(&mine.graph)
+            snapshot::encode(recovered.mining.graph()),
+            snapshot::encode(mine.mining.graph())
         );
     }
 
@@ -750,7 +709,7 @@ mod tests {
             .unwrap();
         let mine = replay_mine(recover(&dir).unwrap(), &params, &ParallelConfig::new(1)).unwrap();
         drop(writer);
-        let _w1 = checkpoint(&dir, 1, &mine.graph, &mine.memo, &params).unwrap();
+        let _w1 = checkpoint(&dir, 1, mine.mining.graph(), mine.mining.memo(), &params).unwrap();
         for g in [0, 1] {
             let path = dir.snapshot_path(g);
             let mut bytes = std::fs::read(&path).unwrap();
@@ -866,12 +825,7 @@ mod tests {
         let dir = tdir("prune");
         let (graph, params, writer) = seed(&dir);
         drop(writer);
-        let (_, memo, _, _) = mine_step(
-            &graph,
-            &params,
-            &ParallelConfig::new(1),
-            IncrementalCtx::recording(),
-        );
+        let memo = record_memo(&graph, &params);
         for g in [1u64, 2, 3] {
             let _w = checkpoint(&dir, g, &graph, &memo, &params).unwrap();
         }
@@ -887,12 +841,7 @@ mod tests {
         drop(writer);
         // Forge a journal that skips ahead: journal-5 next to snapshot-0
         // (as if intermediate journals were lost).
-        let (_, memo, _, _) = mine_step(
-            &graph,
-            &params,
-            &ParallelConfig::new(1),
-            IncrementalCtx::recording(),
-        );
+        let memo = record_memo(&graph, &params);
         let _w5 = checkpoint(&dir, 5, &graph, &memo, &params).unwrap();
         // Corrupt snapshot-5: recovery falls back to generation 0, whose
         // journal ends at delta 1 — but journal-5 claims the sequence

@@ -352,6 +352,11 @@ const POOL_MAX_CAPACITY: usize = 1 << (POOL_CLASSES - 1);
 /// retains more than this however wide a past search was.
 const POOL_MAX_BYTES: usize = 4 << 20;
 
+/// Most work-list slots a scratch keeps between searches: as many as fit
+/// in [`POOL_MAX_BYTES`]. A search may grow the list past it (under BFS
+/// the list holds the whole frontier); the excess is freed afterwards.
+const WORK_MAX_SLOTS: usize = POOL_MAX_BYTES / std::mem::size_of::<SearchNode>();
+
 /// Bytes a list of capacity `cap` holds: its elements and its header.
 fn pooled_size(cap: usize) -> usize {
     cap * std::mem::size_of::<u32>() + std::mem::size_of::<Vec<u32>>()
@@ -824,10 +829,13 @@ impl<'a> Ctx<'a> {
             self.process(node, &mut work, stats);
         }
         // Recycle what a coverage early exit left queued, and hand the
-        // empty work list back for the next run.
+        // empty work list back for the next run, no larger than the free
+        // lists' byte cap: a wide BFS frontier is not kept for the rest of
+        // the scratch's life.
         for node in work.drain(..) {
             self.s.recycle_node(node);
         }
+        work.shrink_to(WORK_MAX_SLOTS);
         self.s.work = work;
     }
 
@@ -2292,5 +2300,66 @@ mod tests {
         let out = Miner::new(&g, QcConfig::new(1.0, 4)).enumerate_maximal();
         assert_eq!(out.cliques.len(), 1);
         assert_eq!(out.cliques[0].vertices.len(), 4);
+    }
+
+    /// `groups` overlapping dense groups of `size` vertices (edge
+    /// probability 0.55) over `n` vertices, plus background edges
+    /// (probability 0.04), from a fixed SplitMix64 stream.
+    fn planted(n: u32, groups: u32, size: u32) -> CsrGraph {
+        let mut state = 0x05ee_d0fa_110c_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut edges = Vec::new();
+        for group in 0..groups {
+            let members: Vec<u32> = (0..size).map(|i| (group * (size - 1) + i) % n).collect();
+            for (i, &u) in members.iter().enumerate() {
+                for &v in &members[i + 1..] {
+                    if next() < 0.55 {
+                        edges.push((u, v));
+                    }
+                }
+            }
+        }
+        for u in 0..n {
+            for v in u + 1..n {
+                if next() < 0.04 {
+                    edges.push((u, v));
+                }
+            }
+        }
+        graph_from_edges(n as usize, edges)
+    }
+
+    #[test]
+    fn bfs_work_list_shrinks_to_the_pool_cap_after_a_search() {
+        // Six 13-vertex groups over 72 vertices: the BFS top-k search
+        // visits about 118k nodes, and its frontier outgrows the cap.
+        let g = planted(72, 6, 13);
+        let cfg = QcConfig::new(0.5, 6);
+        for repr in [Representation::Slice, Representation::Bitset] {
+            let miner = Miner::new(&g, cfg)
+                .with_order(SearchOrder::Bfs)
+                .with_repr(repr);
+            let mut scratch = EngineScratch::new();
+            miner.run_with(MiningMode::TopK(3), &mut scratch);
+            let slots = scratch.work.capacity();
+            assert!(slots >= WORK_MAX_SLOTS, "{repr:?}: frontier stayed narrow");
+            assert!(
+                slots * std::mem::size_of::<SearchNode>() <= POOL_MAX_BYTES,
+                "{repr:?}: {slots} work-list slots retained"
+            );
+            for mode in [MiningMode::TopK(3), MiningMode::Coverage] {
+                let warm = miner.run_with(mode, &mut scratch);
+                let fresh = miner.run_with(mode, &mut EngineScratch::new());
+                assert_eq!(sets(&warm), sets(&fresh), "{repr:?} {mode:?}");
+                assert_eq!(warm.covered, fresh.covered, "{repr:?} {mode:?}");
+                assert_eq!(warm.stats, fresh.stats, "{repr:?} {mode:?}");
+            }
+        }
     }
 }

@@ -65,8 +65,8 @@ use std::time::Duration;
 use parking_lot::{Mutex, RwLock};
 
 use scpm_core::{
-    checkpoint_with, recover, replay_mine, DataDir, DirtySet, EvalMemo, IncrementalCtx,
-    NullModelCache, ParallelConfig, Scpm, ScpmParams, DEFAULT_SPLIT_DEPTH,
+    checkpoint_with, recover, replay_mine, DataDir, DirtySet, MiningState, NullModelCache,
+    ParallelConfig, ScpmParams, DEFAULT_SPLIT_DEPTH,
 };
 use scpm_graph::attributed::AttributedGraph;
 use scpm_graph::{DeltaOp, FaultInjector, GraphDelta, JournalWriter};
@@ -197,21 +197,6 @@ impl ServeConfig {
     }
 }
 
-/// The mining substrate of one graph version: the graph, the `exp(σ)`
-/// memo computed against it, and the evaluation memo of the last mine
-/// over it (always recorded — [`update`] replays it for clean lattice
-/// nodes). Swapped as one `Arc` so handlers and updates always see a
-/// consistent triple.
-struct MiningState {
-    graph: Arc<AttributedGraph>,
-    /// `exp(σ)` memo; shared across re-mines of *this* graph version,
-    /// discarded on update (it is a function of the graph).
-    cache: Arc<NullModelCache>,
-    /// Per-set evaluation memo of the mine that produced the current
-    /// catalog, recorded under the catalog's parameters.
-    memo: Arc<EvalMemo>,
-}
-
 /// The durable side of one serving process: the data directory, the
 /// fault injector shared with every durability operation, and the live
 /// journal writer. All mutation happens under [`DurableState::inner`]
@@ -238,7 +223,9 @@ struct DurableInner {
 
 /// Shared server state.
 struct ServerState {
-    /// The graph-version swap slot (see [`MiningState`]).
+    /// The graph-version swap slot: graph, `exp(σ)` cache and the memo
+    /// of the mine behind the current catalog, swapped as one `Arc` so
+    /// handlers and updates always see a consistent triple.
     mining: RwLock<Arc<MiningState>>,
     /// The listener's bound address (used for the shutdown self-poke).
     addr: SocketAddr,
@@ -266,14 +253,8 @@ struct ServerState {
 }
 
 impl ServerState {
-    fn mine(
-        &self,
-        mining: &MiningState,
-        params: &ScpmParams,
-        generation: u64,
-    ) -> (PatternCatalog, EvalMemo) {
-        let config = ParallelConfig::new(self.mine_threads).with_split_depth(self.split_depth);
-        record_mine(&mining.graph, params, &mining.cache, &config, generation)
+    fn mine_config(&self) -> ParallelConfig {
+        ParallelConfig::new(self.mine_threads).with_split_depth(self.split_depth)
     }
 
     fn current(&self) -> Arc<PatternCatalog> {
@@ -283,30 +264,6 @@ impl ServerState {
     fn current_mining(&self) -> Arc<MiningState> {
         Arc::clone(&self.mining.read())
     }
-}
-
-/// One recording mine: runs the scheduler with a recording
-/// [`IncrementalCtx`] and returns the catalog plus the evaluation memo a
-/// later `POST /update` replays from. Output is byte-identical to a
-/// non-recording mine.
-fn record_mine(
-    graph: &AttributedGraph,
-    params: &ScpmParams,
-    cache: &Arc<NullModelCache>,
-    config: &ParallelConfig,
-    generation: u64,
-) -> (PatternCatalog, EvalMemo) {
-    let mut scpm = Scpm::with_cache(graph, params.clone(), Arc::clone(cache))
-        .with_incremental(IncrementalCtx::recording());
-    let result = scpm.run_scheduled(config);
-    let (memo, _) = scpm
-        .take_incremental()
-        .expect("recording run keeps its context")
-        .into_parts();
-    (
-        PatternCatalog::build(graph, params, result, generation),
-        memo,
-    )
 }
 
 /// A running server: its bound address plus the worker pool.
@@ -348,14 +305,19 @@ impl Server {
     /// Fails (as an `Err`, never a panic) on bind errors or invalid
     /// parameters.
     pub fn start(graph: AttributedGraph, config: ServeConfig) -> Result<Server, String> {
-        validate_params(&config.params).map_err(|e| e.message)?;
-        let cache = Arc::new(NullModelCache::new());
+        config.params.validate()?;
         // Generation 0: mine before any worker accepts, so the first
         // response already answers from a complete catalog. Recording mode
         // retains the evaluation memo `POST /update` replays from.
         let mine_config =
             ParallelConfig::new(config.mine_threads).with_split_depth(config.split_depth);
-        let (catalog, memo) = record_mine(&graph, &config.params, &cache, &mine_config, 0);
+        let (mining, result, _) = MiningState::record(
+            Arc::new(graph),
+            Arc::new(NullModelCache::new()),
+            &config.params,
+            &mine_config,
+        );
+        let catalog = PatternCatalog::build(mining.graph(), &config.params, result, 0);
 
         let durable = match &config.durability {
             None => None,
@@ -369,9 +331,15 @@ impl Server {
                         dur.dir.display()
                     ));
                 }
-                let journal =
-                    checkpoint_with(&dur.injector, &dir, 0, &graph, &memo, &config.params)
-                        .map_err(|e| format!("seeding data directory: {e}"))?;
+                let journal = checkpoint_with(
+                    &dur.injector,
+                    &dir,
+                    0,
+                    mining.graph(),
+                    mining.memo(),
+                    &config.params,
+                )
+                .map_err(|e| format!("seeding data directory: {e}"))?;
                 Some(DurableState {
                     dir,
                     injector: dur.injector.clone(),
@@ -383,12 +351,6 @@ impl Server {
                     }),
                 })
             }
-        };
-
-        let mining = MiningState {
-            graph: Arc::new(graph),
-            cache,
-            memo: Arc::new(memo),
         };
         boot(&config, mining, catalog, durable)
     }
@@ -407,7 +369,7 @@ impl Server {
             .durability
             .clone()
             .ok_or("Server::open requires a durability configuration")?;
-        validate_params(&config.params).map_err(|e| e.message)?;
+        config.params.validate()?;
         let dir = DataDir::open(&dur.dir)
             .map_err(|e| format!("opening data directory {}: {e}", dur.dir.display()))?;
         let state = recover(&dir).map_err(|e| format!("recovering {}: {e}", dur.dir.display()))?;
@@ -431,17 +393,13 @@ impl Server {
             &dur.injector,
             &dir,
             recovered.generation,
-            &recovered.graph,
-            &recovered.memo,
+            recovered.mining.graph(),
+            recovered.mining.memo(),
             &config.params,
         )
         .map_err(|e| format!("re-checkpointing after recovery: {e}"))?;
-        let catalog = PatternCatalog::build(&recovered.graph, &config.params, recovered.result, 0);
-        let mining = MiningState {
-            graph: Arc::new(recovered.graph),
-            cache: recovered.cache,
-            memo: Arc::new(recovered.memo),
-        };
+        let mining = recovered.mining;
+        let catalog = PatternCatalog::build(mining.graph(), &config.params, recovered.result, 0);
         let durable = DurableState {
             dir,
             injector: dur.injector.clone(),
@@ -578,8 +536,8 @@ fn final_checkpoint(state: &ServerState) {
         &d.injector,
         &d.dir,
         inner.generation,
-        &mining.graph,
-        &mining.memo,
+        mining.graph(),
+        mining.memo(),
         &params,
     ) {
         inner.journal = journal;
@@ -768,7 +726,7 @@ fn route(state: &Arc<ServerState>, request: &Request) -> Result<(Json, u64), Htt
         }
         ("GET", "/stats") => {
             let catalog = state.current();
-            let cache = Arc::clone(&state.current_mining().cache);
+            let cache = Arc::clone(state.current_mining().cache());
             let stats = Json::Obj(vec![
                 (
                     "server".into(),
@@ -910,16 +868,22 @@ fn remine(state: &Arc<ServerState>, request: &Request) -> Result<(Json, u64), Ht
     let mining = state.current_mining();
     let params = params_from_body(base.params(), &body)?;
     let generation = state.next_generation.fetch_add(1, Ordering::AcqRel);
-    let (catalog, memo) = state.mine(&mining, &params, generation);
-    let catalog = Arc::new(catalog);
-    let summary = catalog.summary_json();
     // Same graph version: keep graph and exp(σ) cache, refresh the memo
     // (it is recorded under the new catalog's parameters).
-    *state.mining.write() = Arc::new(MiningState {
-        graph: Arc::clone(&mining.graph),
-        cache: Arc::clone(&mining.cache),
-        memo: Arc::new(memo),
-    });
+    let (next, result, _) = MiningState::record(
+        Arc::clone(mining.graph()),
+        Arc::clone(mining.cache()),
+        &params,
+        &state.mine_config(),
+    );
+    let catalog = Arc::new(PatternCatalog::build(
+        next.graph(),
+        &params,
+        result,
+        generation,
+    ));
+    let summary = catalog.summary_json();
+    *state.mining.write() = Arc::new(next);
     *state.catalog.write() = catalog;
     state.remines.fetch_add(1, Ordering::Relaxed);
     Ok((summary, generation))
@@ -947,7 +911,7 @@ fn update(state: &Arc<ServerState>, request: &Request) -> Result<(Json, u64), Ht
     let base = state.current();
     let mining = state.current_mining();
     let applied = delta
-        .apply(&mining.graph)
+        .apply(mining.graph())
         .map_err(|e| HttpError::invalid_parameter(format!("delta does not apply: {e}")))?;
 
     // Write-ahead commit point: the delta is journaled before any
@@ -977,35 +941,32 @@ fn update(state: &Arc<ServerState>, request: &Request) -> Result<(Json, u64), Ht
     let novel_edges = applied.novel_edges.len();
     let novel_attrs = applied.novel_attrs.len();
 
-    // Fresh exp(σ) cache — the null model is a function of the graph.
-    let cache = Arc::new(NullModelCache::new());
-    let config = ParallelConfig::new(state.mine_threads).with_split_depth(state.split_depth);
     let params = base.params().clone();
-    let graph = Arc::new(applied.graph);
-    let mut scpm = Scpm::with_cache(&graph, params.clone(), Arc::clone(&cache))
-        .with_incremental(IncrementalCtx::update(Arc::clone(&mining.memo), dirty));
-    let result = scpm.run_scheduled(&config);
-    let (memo, incr) = scpm
-        .take_incremental()
-        .expect("update run keeps its context")
-        .into_parts();
-    let memo = Arc::new(memo);
+    let (next, result, incr) = MiningState::update(
+        Arc::clone(mining.memo()),
+        Arc::new(applied.graph),
+        dirty,
+        &params,
+        &state.mine_config(),
+    );
+    let next = Arc::new(next);
 
     let generation = state.next_generation.fetch_add(1, Ordering::AcqRel);
-    let catalog = Arc::new(PatternCatalog::build(&graph, &params, result, generation));
+    let catalog = Arc::new(PatternCatalog::build(
+        next.graph(),
+        &params,
+        result,
+        generation,
+    ));
     let summary = catalog.summary_json();
-    *state.mining.write() = Arc::new(MiningState {
-        graph: Arc::clone(&graph),
-        cache,
-        memo: Arc::clone(&memo),
-    });
+    *state.mining.write() = Arc::clone(&next);
     *state.catalog.write() = catalog;
     state.updates.fetch_add(1, Ordering::Relaxed);
 
     // Periodic checkpoint: fold the journal into a fresh snapshot every
     // `checkpoint_every` deltas. Best-effort — the update is already
     // committed to the journal, so a failed checkpoint only means a
-    // longer replay on the next open (reported, never silent).
+    // wider dirty region on the next open (reported, never silent).
     let mut durability = Vec::new();
     if let (Some(d), Some(seq)) = (&state.durable, journaled_seq) {
         durability.push(("journaled_seq".into(), Json::Int(seq)));
@@ -1015,8 +976,8 @@ fn update(state: &Arc<ServerState>, request: &Request) -> Result<(Json, u64), Ht
                 &d.injector,
                 &d.dir,
                 inner.generation,
-                &graph,
-                &memo,
+                next.graph(),
+                next.memo(),
                 &params,
             ) {
                 Ok(journal) => {
@@ -1161,20 +1122,14 @@ fn params_from_body(base: &ScpmParams, body: &Json) -> Result<ScpmParams, HttpEr
             )));
         }
     }
-    let get_usize = |key: &str, default: usize, min: usize| -> Result<usize, HttpError> {
+    let get_usize = |key: &str, default: usize| -> Result<usize, HttpError> {
         match body.get(key) {
             None => Ok(default),
             Some(v) => {
                 let n = v.as_u64().ok_or_else(|| {
                     HttpError::invalid_parameter(format!("`{key}` must be a non-negative integer"))
                 })?;
-                let n = usize::try_from(n).unwrap_or(usize::MAX);
-                if n < min {
-                    return Err(HttpError::invalid_parameter(format!(
-                        "`{key}` must be at least {min}"
-                    )));
-                }
-                Ok(n)
+                Ok(usize::try_from(n).unwrap_or(usize::MAX))
             }
         }
     };
@@ -1187,57 +1142,15 @@ fn params_from_body(base: &ScpmParams, body: &Json) -> Result<ScpmParams, HttpEr
         }
     };
 
-    let sigma_min = get_usize("sigma_min", base.sigma_min, 1)?;
-    let min_size = get_usize("min_size", base.quasi_clique.min_size, 1)?;
-    let top_k = get_usize("top_k", base.k, 1)?;
-    let min_attrs = get_usize("min_attrs", base.min_attrs, 1)?;
-    let max_attrs = get_usize("max_attrs", base.max_attrs, 1)?;
-    let gamma = get_f64("gamma", base.quasi_clique.gamma)?;
-    if !(gamma > 0.0 && gamma <= 1.0) {
-        return Err(HttpError::invalid_parameter(format!(
-            "`gamma` must be in (0, 1], got {gamma}"
-        )));
-    }
-    let eps_min = get_f64("eps_min", base.eps_min)?;
-    if !(0.0..=1.0).contains(&eps_min) {
-        return Err(HttpError::invalid_parameter(format!(
-            "`eps_min` must be in [0, 1], got {eps_min}"
-        )));
-    }
-    let delta_min = get_f64("delta_min", base.delta_min)?;
-    if delta_min < 0.0 {
-        return Err(HttpError::invalid_parameter(format!(
-            "`delta_min` must be non-negative, got {delta_min}"
-        )));
-    }
-    if max_attrs < min_attrs {
-        return Err(HttpError::invalid_parameter(format!(
-            "`max_attrs` ({max_attrs}) must be at least `min_attrs` ({min_attrs})"
-        )));
-    }
-
-    let mut params = ScpmParams::new(sigma_min, gamma, min_size)
-        .with_eps_min(eps_min)
-        .with_delta_min(delta_min)
-        .with_top_k(top_k)
-        .with_min_attrs(min_attrs)
-        .with_max_attrs(max_attrs);
-    params.search_order = base.search_order;
-    params.repr = base.repr;
+    let mut params = base.clone();
+    params.sigma_min = get_usize("sigma_min", base.sigma_min)?;
+    params.quasi_clique.min_size = get_usize("min_size", base.quasi_clique.min_size)?;
+    params.k = get_usize("top_k", base.k)?;
+    params.min_attrs = get_usize("min_attrs", base.min_attrs)?;
+    params.max_attrs = get_usize("max_attrs", base.max_attrs)?;
+    params.quasi_clique.gamma = get_f64("gamma", base.quasi_clique.gamma)?;
+    params.eps_min = get_f64("eps_min", base.eps_min)?;
+    params.delta_min = get_f64("delta_min", base.delta_min)?;
+    params.validate().map_err(HttpError::invalid_parameter)?;
     Ok(params)
-}
-
-/// Rejects parameter sets the engine would panic on (the server must turn
-/// them into errors instead).
-fn validate_params(params: &ScpmParams) -> Result<(), HttpError> {
-    let gamma = params.quasi_clique.gamma;
-    if !(gamma > 0.0 && gamma <= 1.0) {
-        return Err(HttpError::invalid_parameter(format!(
-            "gamma must be in (0, 1], got {gamma}"
-        )));
-    }
-    if params.quasi_clique.min_size == 0 {
-        return Err(HttpError::invalid_parameter("min_size must be at least 1"));
-    }
-    Ok(())
 }

@@ -13,6 +13,8 @@
 //!                [--min-attrs N] [--max-attrs N] [--threads N] [--split-depth N]
 //!                [--algo scpm|scorp|naive] [--repr bitset|slice] [--limit N]
 //!                [--json] [--mmap] [--memory-budget BYTES]
+//!                (--order bfs holds a search's whole frontier in memory;
+//!                 dfs, the default, only the siblings along one path)
 //! scpm update    --graph g.txt | --snapshot g.snap --delta d.txt
 //!                [--out g2.snap] [--json] [+ the mine thresholds]
 //! scpm serve     --graph g.txt | --snapshot g.snap [--port N] [--host H]
@@ -44,7 +46,7 @@ use std::sync::Arc;
 use scpm_core::report::{render_patterns, render_summary, render_top_tables};
 use scpm_core::{
     empirical_p_value, run_naive, run_parallel_with, AnalyticalModel, DirtySet, ExactModel,
-    IncrementalCtx, NullModelCache, ParallelConfig, Scorp, Scpm, ScpmParams, SimulationModel,
+    MiningState, NullModelCache, ParallelConfig, Scorp, Scpm, ScpmParams, SimulationModel,
     DEFAULT_SPLIT_DEPTH,
 };
 use scpm_datasets::ingest::{
@@ -56,7 +58,7 @@ use scpm_graph::io::{load_attributed, save_attributed, write_dot};
 use scpm_graph::snapshot::{load_snapshot, save_snapshot};
 use scpm_graph::stats::GraphSummary;
 use scpm_graph::{AttributedGraph, GraphDelta};
-use scpm_quasiclique::{QcConfig, Representation, SearchOrder};
+use scpm_quasiclique::{Representation, SearchOrder};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -116,6 +118,8 @@ const USAGE: &str = "usage:
                  [--min-attrs N] [--max-attrs N] [--threads N] [--split-depth N]
                  [--algo scpm|scorp|naive] [--repr bitset|slice] [--limit N]
                  [--json] [--mmap] [--memory-budget BYTES]   (zero-copy out-of-core mine)
+                 (--order bfs holds a search's whole frontier in memory;
+                  dfs, the default, only the siblings along one path)
   scpm update    --graph <file> | --snapshot <file.snap> --delta <file>
                  [--out <file>[.snap]] [--json] [+ the mine thresholds]
   scpm serve     --graph <file> | --snapshot <file.snap> [--port N] [--host H]
@@ -394,26 +398,25 @@ fn params_from(flags: &Flags) -> Result<ScpmParams, String> {
         "slice" => Representation::Slice,
         other => return Err(format!("invalid --repr `{other}` (want bitset|slice)")),
     };
-    // Validate up front: QcConfig panics on out-of-range values, and a
-    // CLI should fail with exit 1, not a panic.
-    let gamma = flags.num("gamma", 0.5f64)?;
-    if !(gamma > 0.0 && gamma <= 1.0) {
-        return Err(format!("--gamma must be in (0, 1], got {gamma}"));
-    }
-    let min_size = flags.num("min-size", 5usize)?;
-    if min_size == 0 {
-        return Err("--min-size must be at least 1".into());
-    }
-    Ok(
-        ScpmParams::new(flags.num("sigma-min", 10usize)?, gamma, min_size)
-            .with_eps_min(flags.num("eps-min", 0.0f64)?)
-            .with_delta_min(flags.num("delta-min", 0.0f64)?)
-            .with_top_k(flags.num("top-k", 5usize)?)
-            .with_min_attrs(flags.num("min-attrs", 1usize)?)
-            .with_max_attrs(flags.num("max-attrs", 3usize)?)
-            .with_order(order)
-            .with_repr(repr),
-    )
+    // The builder chain holds the defaults. Flag values are assigned as
+    // given (the builders would clamp some) and validated before any
+    // mine: QcConfig panics on an out-of-range γ or min_size, and a CLI
+    // should fail with exit 1, not a panic or an empty result.
+    let mut p = ScpmParams::new(10, 0.5, 5)
+        .with_top_k(5)
+        .with_max_attrs(3)
+        .with_order(order)
+        .with_repr(repr);
+    p.sigma_min = flags.num("sigma-min", p.sigma_min)?;
+    p.quasi_clique.gamma = flags.num("gamma", p.quasi_clique.gamma)?;
+    p.quasi_clique.min_size = flags.num("min-size", p.quasi_clique.min_size)?;
+    p.eps_min = flags.num("eps-min", p.eps_min)?;
+    p.delta_min = flags.num("delta-min", p.delta_min)?;
+    p.k = flags.num("top-k", p.k)?;
+    p.min_attrs = flags.num("min-attrs", p.min_attrs)?;
+    p.max_attrs = flags.num("max-attrs", p.max_attrs)?;
+    p.validate()?;
+    Ok(p)
 }
 
 /// `scpm mine --mmap`: the out-of-core path. The snapshot is mapped
@@ -510,10 +513,10 @@ fn mine(flags: &Flags) -> Result<(), String> {
 }
 
 /// `scpm update`: apply an insert-only delta to a graph and re-mine it
-/// *incrementally* — a recording mine of the base graph fills the
-/// evaluation memo, the delta's dirty region is computed from its novel
-/// effects, and the updated graph is mined with clean lattice nodes
-/// replayed from the memo. The output (and in particular the `--json`
+/// *incrementally* — two generation steps ([`MiningState`]): a recording
+/// mine of the base graph fills the evaluation memo, then the updated
+/// graph is mined with every lattice node outside the delta's dirty
+/// region replayed from the memo. The output (and in particular the `--json`
 /// catalog) is byte-identical to `scpm mine` on the updated graph; see
 /// docs/INCREMENTAL.md for the argument and `tests/incremental_vs_full.rs`
 /// for the differential proof.
@@ -534,46 +537,37 @@ fn update(flags: &Flags) -> Result<(), String> {
     // Generation 0: record the evaluation memo on the base graph. (The
     // serve layer keeps this memo alive across updates; the CLI rebuilds
     // it from the snapshot.)
-    let mut recorder = Scpm::with_cache(&base, params.clone(), Arc::new(NullModelCache::new()))
-        .with_incremental(IncrementalCtx::recording());
-    recorder.run_scheduled(&config);
-    let (memo, _) = recorder
-        .take_incremental()
-        .expect("recording run keeps its context")
-        .into_parts();
+    let cache = Arc::new(NullModelCache::new());
+    let (recorded, _, _) = MiningState::record(Arc::new(base), cache, &params, &config);
 
     // Generation 1: replay every clean lattice node against the updated
-    // graph. The null-model cache is fresh — exp(σ) is a function of the
-    // graph, and the graph changed.
+    // graph.
     let dirty = DirtySet::from_delta(&applied.graph, &applied);
     let dirty_summary = (dirty.dirty_attr_ids().len(), dirty.num_edge_caps());
-    let mut miner = Scpm::with_cache(
-        &applied.graph,
-        params.clone(),
-        Arc::new(NullModelCache::new()),
-    )
-    .with_incremental(IncrementalCtx::update(Arc::new(memo), dirty));
-    let result = miner.run_scheduled(&config);
-    let incr = miner
-        .take_incremental()
-        .expect("update run keeps its context")
-        .stats();
-
-    if let Some(out) = flags.str("out") {
-        save_any(&applied.graph, out)?;
-    }
-    if flags.flag("json") {
-        // Byte-identical to `scpm mine --json` on the updated graph.
-        let catalog = scpm_serve::PatternCatalog::build(&applied.graph, &params, result, 0);
-        println!("{}", catalog.full_json().render());
-        return Ok(());
-    }
-    println!(
-        "applied {delta_path}: +{} vertices, +{} novel edges, +{} novel attribute assignments",
+    let applied_summary = format!(
+        "+{} vertices, +{} novel edges, +{} novel attribute assignments",
         applied.added_vertices,
         applied.novel_edges.len(),
         applied.novel_attrs.len()
     );
+    let (updated, result, incr) = MiningState::update(
+        Arc::clone(recorded.memo()),
+        Arc::new(applied.graph),
+        dirty,
+        &params,
+        &config,
+    );
+
+    if let Some(out) = flags.str("out") {
+        save_any(updated.graph(), out)?;
+    }
+    if flags.flag("json") {
+        // Byte-identical to `scpm mine --json` on the updated graph.
+        let catalog = scpm_serve::PatternCatalog::build(updated.graph(), &params, result, 0);
+        println!("{}", catalog.full_json().render());
+        return Ok(());
+    }
+    println!("applied {delta_path}: {applied_summary}");
     println!(
         "dirty region: {} attributes with novel assignments, {} novel-edge attribute caps",
         dirty_summary.0, dirty_summary.1
@@ -708,8 +702,8 @@ fn recover_cmd(flags: &Flags) -> Result<(), String> {
     println!(
         "recovered generation {}: {} vertices, {} edges, {} reports, {} patterns",
         mine.generation,
-        mine.graph.num_vertices(),
-        mine.graph.num_edges(),
+        mine.mining.graph().num_vertices(),
+        mine.mining.graph().num_edges(),
         mine.result.reports.len(),
         mine.result.patterns.len()
     );
@@ -733,10 +727,8 @@ fn induce(flags: &Flags) -> Result<(), String> {
         graph.format_attr_set(&attrs),
         vertices.len()
     );
-    let gamma = flags.num("gamma", 0.5f64)?;
-    let min_size = flags.num("min-size", 5usize)?;
-    let params = ScpmParams::new(1, gamma, min_size);
-    let scpm = Scpm::new(&graph, params);
+    let cfg = params_from(flags)?.quasi_clique;
+    let scpm = Scpm::new(&graph, ScpmParams::new(1, cfg.gamma, cfg.min_size));
     let out = scpm.engine().epsilon(&vertices, None);
     println!(
         "ε = {:.4} ({} covered vertices)",
@@ -744,7 +736,6 @@ fn induce(flags: &Flags) -> Result<(), String> {
         out.covered.len()
     );
     let sigma = vertices.len();
-    let cfg = QcConfig::new(gamma, min_size);
     let analytical = AnalyticalModel::new(graph.graph(), &cfg);
     let exact = ExactModel::new(graph.graph(), &cfg);
     println!(
@@ -825,7 +816,7 @@ fn stats(flags: &Flags) -> Result<(), String> {
 fn nullmodel(flags: &Flags) -> Result<(), String> {
     let graph = load(flags)?;
     let g = graph.graph();
-    let cfg = QcConfig::new(flags.num("gamma", 0.5f64)?, flags.num("min-size", 5usize)?);
+    let cfg = params_from(flags)?.quasi_clique;
     let points = flags.num("points", 10usize)?.max(2);
     let sims = flags.num("sims", 20usize)?;
     let seed = flags.num("seed", 42u64)?;

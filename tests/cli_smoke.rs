@@ -316,3 +316,147 @@ fn generate_convert_nullmodel_pipeline() {
     assert!(stdout.contains("max-exp"));
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn mine_rejects_out_of_range_thresholds() {
+    let path = temp_graph("badthresholds");
+    let graph = path.to_str().unwrap();
+    for (flags, message) in [
+        (
+            &["--eps-min", "nan"][..],
+            "`eps_min` must be in [0, 1], got NaN",
+        ),
+        (
+            &["--eps-min", "2"][..],
+            "`eps_min` must be in [0, 1], got 2",
+        ),
+        (
+            &["--delta-min", "-1"][..],
+            "`delta_min` must be non-negative, got -1",
+        ),
+        (&["--top-k", "0"][..], "`top_k` must be at least 1"),
+        (
+            &["--max-attrs", "1", "--min-attrs", "3"][..],
+            "`max_attrs` (1) must be at least `min_attrs` (3)",
+        ),
+        (&["--gamma", "0"][..], "`gamma` must be in (0, 1], got 0"),
+        (&["--min-size", "0"][..], "`min_size` must be at least 1"),
+    ] {
+        let mut args = vec!["mine", "--graph", graph];
+        args.extend_from_slice(flags);
+        let out = scpm(&args);
+        assert_eq!(out.status.code(), Some(1), "{flags:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(message), "{flags:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{flags:?}: nothing may be mined");
+    }
+}
+
+#[test]
+fn induce_and_nullmodel_reject_out_of_range_gamma() {
+    let path = temp_graph("badgamma");
+    let graph = path.to_str().unwrap();
+    for args in [
+        &["induce", "--graph", graph, "--attrs", "A", "--gamma", "0"][..],
+        &["nullmodel", "--graph", graph, "--gamma", "1.5"][..],
+    ] {
+        let out = scpm(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("`gamma` must be in (0, 1]"), "{stderr}");
+    }
+}
+
+/// The Table-1 thresholds as CLI flags (`--top-k` and `--max-attrs` keep
+/// their CLI defaults, 5 and 3).
+const TABLE1_FLAGS: [&str; 8] = [
+    "--sigma-min",
+    "3",
+    "--gamma",
+    "0.6",
+    "--min-size",
+    "4",
+    "--eps-min",
+    "0.5",
+];
+
+#[test]
+fn update_json_equals_mine_json_on_the_updated_graph() {
+    let dir = std::env::temp_dir().join("scpm_cli_smoke_update");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let graph = temp_graph("update");
+    let delta = dir.join("d.txt");
+    let updated = dir.join("updated.snap");
+    // Paper vertex 5 gains B and an edge to 8: a new B quasi-clique.
+    std::fs::write(&delta, "e 4 7\na 4 B\nv 1\ne 11 0\n").unwrap();
+    let mut args = vec![
+        "update",
+        "--graph",
+        graph.to_str().unwrap(),
+        "--delta",
+        delta.to_str().unwrap(),
+        "--out",
+        updated.to_str().unwrap(),
+        "--json",
+    ];
+    args.extend(TABLE1_FLAGS);
+    let update = scpm(&args);
+    assert!(
+        update.status.success(),
+        "{}",
+        String::from_utf8_lossy(&update.stderr)
+    );
+    let mut args = vec!["mine", "--graph", updated.to_str().unwrap(), "--json"];
+    args.extend(TABLE1_FLAGS);
+    let mine = scpm(&args);
+    assert!(mine.status.success());
+    assert!(!mine.stdout.is_empty());
+    assert_eq!(
+        String::from_utf8_lossy(&update.stdout),
+        String::from_utf8_lossy(&mine.stdout)
+    );
+}
+
+#[test]
+fn recover_reports_the_generation_an_aborted_server_left() {
+    use scpm_core::ScpmParams;
+    use scpm_serve::{Client, DurabilityConfig, ServeConfig, Server};
+
+    let dir = std::env::temp_dir().join("scpm_cli_smoke_recover");
+    let _ = std::fs::remove_dir_all(&dir);
+    // The CLI's parameters for TABLE1_FLAGS, so the memo replays.
+    let params = ScpmParams::new(3, 0.6, 4)
+        .with_eps_min(0.5)
+        .with_top_k(5)
+        .with_max_attrs(3);
+    let config = ServeConfig::new(params, 1)
+        .with_durability(DurabilityConfig::new(&dir).with_checkpoint_every(100));
+    let server = Server::start(scpm_graph::figure1::figure1(), config).unwrap();
+    let client = Client::new(server.addr());
+    for body in [r#"{"edges":[[4,7]]}"#, r#"{"attrs":[[4,"B"]]}"#] {
+        let response = client.post("/update", body).unwrap();
+        assert_eq!(response.status, 200, "{}", response.body);
+    }
+    // No final checkpoint: both deltas live only in the journal.
+    server.abort();
+
+    let mut args = vec!["recover", dir.to_str().unwrap()];
+    args.extend(TABLE1_FLAGS);
+    let out = scpm(&args);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{stdout}{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        stdout.contains("snapshot generation 0, 2 journaled delta(s) to replay"),
+        "{stdout}"
+    );
+    assert!(stdout.contains("memo replayed"), "{stdout}");
+    assert!(
+        stdout.contains("recovered generation 2: 11 vertices, 20 edges"),
+        "{stdout}"
+    );
+}

@@ -184,7 +184,7 @@ fn verify_recovery(dir: &DataDir, committed: &[usize], config: &ParallelConfig, 
         "{ctx}: recovered to the wrong generation"
     );
     assert!(
-        snapshot::encode(&recovered.graph).as_ref() == snapshot::encode(&expected).as_ref(),
+        snapshot::encode(recovered.mining.graph()).as_ref() == snapshot::encode(&expected).as_ref(),
         "{ctx}: recovered graph is not the committed prefix"
     );
 
