@@ -5,13 +5,17 @@
 //! on), computes the structural correlation of each frequent attribute set
 //! via coverage search, emits top-k patterns for qualifying sets, and
 //! prunes extensions with Theorems 4 and 5. Theorem 3 shrinks each induced
-//! graph to the parents' covered vertices before mining.
+//! graph before mining: to the parents' covered vertices, or, for a set
+//! without parents, to the `z`-core of the whole graph, computed once per
+//! [`Scpm`].
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use scpm_graph::attributed::{AttrId, AttributedGraph};
+use scpm_graph::bitadj::VertexBitset;
 use scpm_graph::csr::{intersect_into, VertexId};
+use scpm_graph::kcore::k_core_mask;
 use scpm_itemset::Tidset;
 
 use crate::correlation::CorrelationEngine;
@@ -67,6 +71,8 @@ pub struct Scpm<'g> {
     graph: &'g AttributedGraph,
     params: ScpmParams,
     model: AnalyticalModel,
+    /// The `z`-core of the whole graph, shared by every engine of the run.
+    core: Arc<VertexBitset>,
     incr: Option<IncrementalCtx>,
 }
 
@@ -75,12 +81,15 @@ impl<'g> Scpm<'g> {
     /// analytical null model of Theorem 2 once).
     pub fn new(graph: &'g AttributedGraph, params: ScpmParams) -> Self {
         let model = AnalyticalModel::new(graph.graph(), &params.quasi_clique);
-        Scpm {
-            graph,
-            params,
-            model,
-            incr: None,
-        }
+        Self::bind(graph, params, model)
+    }
+
+    /// The in-memory constructors' common tail: peels the global `z`-core
+    /// (`O(n + m)`, once per graph version and parameter set).
+    fn bind(graph: &'g AttributedGraph, params: ScpmParams, model: AnalyticalModel) -> Self {
+        let z = params.quasi_clique.min_required_degree();
+        let core = Arc::new(k_core_mask(graph.graph(), z));
+        Self::with_model(graph, params, model, core)
     }
 
     /// Like [`Scpm::new`], but memoizing `exp(σ)` in a caller-provided
@@ -109,33 +118,34 @@ impl<'g> Scpm<'g> {
         cache: Arc<NullModelCache>,
     ) -> Self {
         let model = AnalyticalModel::new(graph.graph(), &params.quasi_clique).with_cache(cache);
-        Scpm {
-            graph,
-            params,
-            model,
-            incr: None,
-        }
+        Self::bind(graph, params, model)
     }
 
     /// Binds the algorithm to a graph with a caller-supplied null model
     /// instead of deriving one from `graph`'s topology. This is the
     /// out-of-core driver's constructor: [`crate::segments`] evaluates
     /// attribute sets on per-segment *working* graphs (only the edges
-    /// incident to the segment's tidsets), but ε must still be normalized
-    /// against the **full** graph's degree distribution — a model built
-    /// from the working graph would skew `exp(σ)` and flip δ decisions.
+    /// among the segment roots' core vertices), but ε must still be
+    /// normalized against the **full** graph's degree distribution — a
+    /// model built from the working graph would skew `exp(σ)` and flip δ
+    /// decisions.
+    /// For the same reason `core` is the **full** graph's `z`-core with
+    /// `z = ⌈γ(min_size−1)⌉`: a working graph's own core is smaller.
     ///
-    /// The caller is responsible for `model` describing the same vertex
-    /// universe `graph` was built over.
+    /// The caller is responsible for `model` and `core` describing the same
+    /// vertex universe `graph` was built over.
     pub fn with_model(
         graph: &'g AttributedGraph,
         params: ScpmParams,
         model: AnalyticalModel,
+        core: Arc<VertexBitset>,
     ) -> Self {
+        debug_assert_eq!(core.universe(), graph.num_vertices());
         Scpm {
             graph,
             params,
             model,
+            core,
             incr: None,
         }
     }
@@ -177,7 +187,9 @@ impl<'g> Scpm<'g> {
     }
 
     /// A correlation engine bound to this run's graph and parameters
-    /// (useful for ad-hoc ε evaluations outside a full run).
+    /// (useful for ad-hoc ε evaluations outside a full run). It restricts
+    /// every mining set to the global `z`-core; its results equal an
+    /// unfiltered [`CorrelationEngine::new`]'s.
     pub fn engine(&self) -> CorrelationEngine<'g> {
         CorrelationEngine::new(
             self.graph,
@@ -187,6 +199,7 @@ impl<'g> Scpm<'g> {
             self.params.repr,
             self.params.prune.vertex_pruning,
         )
+        .with_core(Arc::clone(&self.core))
     }
 
     /// Runs SCPM and returns all reports, patterns and counters.
@@ -234,12 +247,15 @@ impl<'g> Scpm<'g> {
     /// parents and passes `true`). Replay is sound because a clean set's
     /// `V(S)` and `G(S)` are unchanged, so ε and `K_S` are too, and stable
     /// parents make the restricted mining set — and with it every search
-    /// counter — bit-identical. δ_lb and the Theorem-5 floor are always
-    /// recomputed against the current null model, so qualification may
-    /// flip even for a replayed set; one that turns qualified without a
-    /// cached top-k runs its top-k search live (the global-extraction
-    /// search is byte-equivalent to the projected one a full mine would
-    /// run).
+    /// counter — bit-identical. A parentless set's mining set is cut to
+    /// the global `z`-core, which a delta elsewhere may move; the search
+    /// still sees the same `z`-core of `G(S)`, so its counters do not
+    /// move either (see [`crate::correlation`]). δ_lb and the Theorem-5
+    /// floor are always recomputed against the current null model, so
+    /// qualification may flip even for a replayed set; one that turns
+    /// qualified without a cached top-k runs its top-k search live (the
+    /// global-extraction search is byte-equivalent to the projected one a
+    /// full mine would run).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn evaluate(
         &self,

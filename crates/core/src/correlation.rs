@@ -5,10 +5,25 @@
 //! vertices of `G(S)` covered by γ-quasi-cliques. Coverage is computed by
 //! the quasi-clique engine in coverage mode — no full enumeration needed.
 //!
-//! Theorem 3 (vertex pruning) is applied here: for `S ⊇ S_parent`,
-//! `K_S ⊆ K_parent`, so vertices of `V(S) \ K_parent` can be deleted from
-//! the mining graph before the search (they still count in the support
-//! denominator).
+//! Theorem 3 (vertex pruning) is applied here, twice over:
+//!
+//! - **Globally, before extraction.** Every vertex of a γ-quasi-clique of
+//!   size ≥ `min_size` has at least `z = ⌈γ(min_size−1)⌉` neighbours in it,
+//!   so the search keeps only the `z`-core of `G[mining(S)]`. `G(S)` is an
+//!   induced subgraph of `G`, so that core lies inside the `z`-core `C` of
+//!   `G`; and since `G[mining(S) ∩ C]` still contains it, its own `z`-core
+//!   is the same vertex set with the same edges. An engine built by
+//!   [`crate::Scpm`] therefore drops `V(S) \ C` before extracting — an
+//!   `O(|V(S)|)` mask filter — and the search sees the very graph, the
+//!   very survivors and the very counters it saw on all of `G[V(S)]`. A
+//!   set with fewer than `min_size` vertices in `C` short-circuits with no
+//!   search at all (the search would have peeled everything).
+//! - **Down the lattice.** For `S ⊇ S_parent`, `K_S ⊆ K_parent ⊆ C`, so
+//!   vertices of `V(S) \ K_parent` can be deleted from the mining graph
+//!   before the search.
+//!
+//! Either way the deleted vertices still count in the support denominator:
+//! `ε(S)` divides by `|V(S)|`.
 //!
 //! **Incremental projection.** The mining vertex set of a child attribute
 //! set is always contained in its parent's (`V(S ∪ {a}) ⊆ V(S)`, and the
@@ -92,6 +107,9 @@ pub struct CorrelationEngine<'g> {
     repr: Representation,
     /// Apply Theorem 3 restriction when a parent cover is provided.
     vertex_pruning: bool,
+    /// The `z`-core of the whole graph, applied to mining sets that have
+    /// no parent cover (`None`: no global filter).
+    core: Option<Arc<VertexBitset>>,
     /// Reusable quasi-clique search buffers, recycled across evaluations.
     scratch: RefCell<EngineScratch>,
     /// Reusable parent-local keep set for subgraph projection.
@@ -117,26 +135,41 @@ impl<'g> CorrelationEngine<'g> {
             prune,
             repr,
             vertex_pruning,
+            core: None,
             scratch: RefCell::new(EngineScratch::new()),
             keep: RefCell::new(VertexBitset::empty(0)),
             ranks: RefCell::new(RankMap::default()),
         }
     }
 
+    /// Restricts every mining set without a parent cover to `core`, the
+    /// `z`-core of the whole graph (see the module docs). Exact: every
+    /// output and counter is unchanged; only extraction shrinks.
+    pub(crate) fn with_core(mut self, core: Arc<VertexBitset>) -> Self {
+        self.core = Some(core);
+        self
+    }
+
     /// The mining vertex set for `S`: `V(S)` restricted by the parent cover
-    /// when Theorem 3 is active.
+    /// when Theorem 3 is active, and otherwise by the global core.
     fn mining_set(
         &self,
         vertices: &[VertexId],
         parent_cover: Option<&[VertexId]>,
     ) -> Vec<VertexId> {
-        match parent_cover {
-            Some(cover) if self.vertex_pruning => {
+        match (parent_cover, &self.core) {
+            // The cover lies inside the core already.
+            (Some(cover), _) if self.vertex_pruning => {
                 let mut out = Vec::with_capacity(cover.len().min(vertices.len()));
                 intersect_into(vertices, cover, &mut out);
                 out
             }
-            _ => vertices.to_vec(),
+            (_, Some(core)) => vertices
+                .iter()
+                .copied()
+                .filter(|&v| core.contains(v))
+                .collect(),
+            (_, None) => vertices.to_vec(),
         }
     }
 

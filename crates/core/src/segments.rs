@@ -7,18 +7,27 @@
 //! wall clock) while reading the graph through a [`MappedSnapshot`] instead
 //! of a heap [`AttributedGraph`](scpm_graph::AttributedGraph). The trick is
 //! that every subgraph the search can ever extract under a root attribute
-//! `a` lies inside `V(a)`, so a **working graph** containing all edges
-//! incident to `W = ⋃ V(a)` over the segment's roots answers every
-//! adjacency query of the segment's entire subtree exactly as the full
-//! graph would.
+//! `a` lies inside `V(a) ∩ C`, where `C` is the `z`-core of the whole
+//! graph (`z = ⌈γ(min_size−1)⌉`; Theorem 3 lifted to the whole graph, see
+//! [`crate::correlation`]). So a **working graph** holding the edges among
+//! `W = ⋃ (V(a) ∩ C)` over the segment's roots answers every adjacency
+//! query of the segment's entire subtree exactly as the full graph would.
 //!
-//! The driver runs in three layers:
+//! The driver runs in four layers:
 //!
+//! 0. **Core** — `C` is peeled once straight from the mapped CSR
+//!    ([`scpm_graph::kcore::peel_to_core`]): one bit and one degree word
+//!    per vertex, no copy of the adjacency. A corrupt CSR surfaces as a
+//!    [`SnapshotError`].
 //! 1. **Pack** — frequent attributes (support ≥ σmin), ascending, are
 //!    greedily packed into segments; an attribute's cost is the CSR
-//!    footprint `8·(deg(v)+1)` bytes of each vertex it *newly* adds to the
-//!    segment's working set. A segment always takes at least one root, so
-//!    a hub attribute larger than the budget forms a singleton segment.
+//!    footprint `8·(deg(v)+1)` bytes of each vertex of `V(a) ∩ C` it
+//!    *newly* adds to the segment's working set (vertices outside `C` are
+//!    never extracted, so they cost nothing; the degree is the full
+//!    graph's, an upper bound on the working graph's). A segment always
+//!    takes at least one root, so a hub attribute larger than the budget
+//!    forms a singleton segment. Segments are consecutive runs of the
+//!    frequent attributes.
 //! 2. **Phase 1 (descending segments)** — each root's level-1 evaluation
 //!    runs on its segment's working graph into a private scratch result;
 //!    its cover `K_a` is spilled to a temp file and only an
@@ -51,6 +60,8 @@ use std::time::Instant;
 
 use scpm_graph::attributed::{AttrId, AttributedGraphBuilder};
 use scpm_graph::csr::VertexId;
+use scpm_graph::kcore::peel_to_core;
+use scpm_graph::VertexBitset;
 use scpm_graph::{DegreeDistribution, MappedSnapshot, SnapshotError};
 use scpm_itemset::Tidset;
 
@@ -118,50 +129,45 @@ impl Drop for CoverSpill {
 }
 
 /// Greedily packs the frequent attributes (ascending) into segments whose
-/// working-set CSR footprint stays under `budget_bytes`. Every segment
-/// holds at least one root.
+/// working-set CSR footprint stays under `budget_bytes`, costing only the
+/// vertices of each root's tidset that lie in `core`. Every segment holds
+/// at least one root.
 fn pack_segments(
     snap: &MappedSnapshot,
     frequent: &[AttrId],
+    core: &VertexBitset,
     budget_bytes: usize,
 ) -> Result<Vec<Vec<AttrId>>, SnapshotError> {
     let offsets = snap.csr_offsets()?;
-    let n = snap.num_vertices();
     let cost_of = |v: VertexId| -> usize {
         let v = v as usize;
         8 * ((offsets[v + 1] - offsets[v]) as usize + 1)
     };
     let mut segments: Vec<Vec<AttrId>> = Vec::new();
-    let mut member = vec![false; n];
+    let mut member = VertexBitset::empty(snap.num_vertices());
     let mut current: Vec<AttrId> = Vec::new();
     let mut current_cost = 0usize;
     for &a in frequent {
-        let added: usize = snap
-            .vertices_with(a)?
-            .iter()
-            .filter(|&&v| !member[v as usize])
-            .map(|&v| cost_of(v))
+        let in_core = || {
+            snap.vertices_with(a)
+                .map(|vs| vs.iter().copied().filter(|&v| core.contains(v)))
+        };
+        let added: usize = in_core()?
+            .filter(|&v| !member.contains(v))
+            .map(cost_of)
             .sum();
         if !current.is_empty() && current_cost + added > budget_bytes {
             segments.push(std::mem::take(&mut current));
-            member.iter_mut().for_each(|m| *m = false);
+            member.reset(snap.num_vertices());
             current_cost = 0;
-            // Recost against the now-empty working set.
-            for &v in snap.vertices_with(a)? {
-                member[v as usize] = true;
+        }
+        // Recosted against the now-empty working set after a cut.
+        for v in in_core()? {
+            if !member.contains(v) {
+                member.insert(v);
+                current_cost += cost_of(v);
             }
-            current_cost += snap
-                .vertices_with(a)?
-                .iter()
-                .map(|&v| cost_of(v))
-                .sum::<usize>();
-            current.push(a);
-            continue;
         }
-        for &v in snap.vertices_with(a)? {
-            member[v as usize] = true;
-        }
-        current_cost += added;
         current.push(a);
     }
     if !current.is_empty() {
@@ -171,29 +177,29 @@ fn pack_segments(
 }
 
 /// Builds a segment's working graph: every vertex of the snapshot, plus
-/// every edge with at least one endpoint in the union of the segment
-/// roots' tidsets. No attributes are interned — the mining engine reads
+/// every edge between two vertices of `W = ⋃ V(a) ∩ core` over the
+/// segment's roots — the only vertices any mining set of the segment's
+/// subtree contains. No attributes are interned — the mining engine reads
 /// attribute data from entries, never from the working graph.
 fn working_graph(
     snap: &MappedSnapshot,
     roots: &[AttrId],
+    core: &VertexBitset,
 ) -> Result<scpm_graph::AttributedGraph, SnapshotError> {
     let n = snap.num_vertices();
-    let mut member = vec![false; n];
+    let mut member = VertexBitset::empty(n);
     for &a in roots {
         for &v in snap.vertices_with(a)? {
-            member[v as usize] = true;
+            if core.contains(v) {
+                member.insert(v);
+            }
         }
     }
     let mut b = AttributedGraphBuilder::new(n);
-    for v in 0..n as u32 {
-        if !member[v as usize] {
-            continue;
-        }
+    for v in member.iter() {
         for &u in snap.neighbors(v)? {
-            // Both endpoints in the working set would add the edge twice;
-            // keep the copy from the smaller endpoint.
-            if !member[u as usize] || v < u {
+            // Keep each edge once, from its smaller endpoint.
+            if v < u && member.contains(u) {
                 b.add_edge(v, u);
             }
         }
@@ -262,48 +268,55 @@ pub fn mine_mapped(
         snap.support(a)?;
     }
 
-    let segments = pack_segments(snap, &frequent, segment_budget_bytes)?;
+    // Theorem 3 over the whole graph: no mining set leaves this core.
+    let z = params.quasi_clique.min_required_degree();
+    let core = Arc::new(peel_to_core(n, z, |v| snap.neighbors(v))?);
 
-    // Per-root scratches, indexed by attribute id: the level-1 result of
-    // every frequent root, and the subtree result of every surviving one.
-    let mut l1_results: Vec<Option<ScpmResult>> = (0..num_attrs).map(|_| None).collect();
-    let mut subtree_results: Vec<Option<ScpmResult>> = (0..num_attrs).map(|_| None).collect();
-    let mut cover_handle: Vec<Option<(u64, u32)>> = vec![None; num_attrs];
+    let segments = pack_segments(snap, &frequent, &core, segment_budget_bytes)?;
+
+    // Per-root scratches, indexed by rank in `frequent` (segments are
+    // consecutive runs of it): the level-1 result of every frequent root,
+    // and the subtree result of every surviving one.
+    let mut l1_results: Vec<Option<ScpmResult>> = (0..frequent.len()).map(|_| None).collect();
+    let mut subtree_results: Vec<Option<ScpmResult>> = (0..frequent.len()).map(|_| None).collect();
+    let mut cover_handle: Vec<Option<(u64, u32)>> = vec![None; frequent.len()];
     let mut spill = CoverSpill::create()?;
 
     // Descending, so every sibling b > a has its cover spilled before any
     // root a extends with it.
+    let mut first = frequent.len();
     for seg in segments.iter().rev() {
-        let graph = working_graph(snap, seg)?;
+        first -= seg.len();
+        let graph = working_graph(snap, seg, &core)?;
         let model = AnalyticalModel::from_distribution(dist.clone(), n, &params.quasi_clique)
             .with_cache(cache.clone());
-        let scpm = Scpm::with_model(&graph, params.clone(), model);
+        let scpm = Scpm::with_model(&graph, params.clone(), model, Arc::clone(&core));
         let engine = scpm.engine();
 
         // Phase 1: level-1 evaluation of each root on the working graph.
         let mut entries: Vec<Option<EnumEntry>> = Vec::with_capacity(seg.len());
-        for &a in seg {
+        for (i, &a) in (first..).zip(seg) {
             let tids = Tidset::from_sorted(snap.vertices_with(a)?.to_vec());
             let mut scratch = ScpmResult::default();
             let entry = scpm.evaluate(&engine, vec![a], tids, None, None, true, &mut scratch);
             if let Some(e) = &entry {
-                cover_handle[a as usize] = Some(spill.push(&e.cover)?);
+                cover_handle[i] = Some(spill.push(&e.cover)?);
             }
-            l1_results[a as usize] = Some(scratch);
+            l1_results[i] = Some(scratch);
             entries.push(entry);
         }
 
         // Phase 2: extend each surviving root with its surviving siblings,
         // one pseudo-entry at a time; children enumerate in memory.
-        for (slot, &a) in seg.iter().enumerate() {
-            let Some(base) = entries[slot].take() else {
+        for (i, entry) in (first..).zip(entries) {
+            let Some(base) = entry else {
                 continue;
             };
             let mut scratch = ScpmResult::default();
             let mut next: Vec<EnumEntry> = Vec::new();
             let mut cover_buf: Vec<VertexId> = Vec::new();
-            for &b in frequent.iter().filter(|&&b| b > a) {
-                let Some(handle) = cover_handle[b as usize] else {
+            for (j, &b) in frequent.iter().enumerate().skip(i + 1) {
+                let Some(handle) = cover_handle[j] else {
                     continue;
                 };
                 let sibling = EnumEntry {
@@ -322,7 +335,7 @@ pub fn mine_mapped(
             if !next.is_empty() {
                 scpm.enumerate_class(&engine, &next, &mut scratch);
             }
-            subtree_results[a as usize] = Some(scratch);
+            subtree_results[i] = Some(scratch);
         }
     }
 
@@ -348,6 +361,7 @@ mod tests {
     use super::*;
     use crate::Scpm;
     use scpm_graph::figure1::figure1;
+    use scpm_graph::kcore::k_core_mask;
     use scpm_graph::{encode, AttributedGraph};
 
     fn fingerprint(r: &ScpmResult) -> String {
@@ -443,14 +457,91 @@ mod tests {
         let frequent: Vec<AttrId> = (0..snap.num_attributes() as AttrId)
             .filter(|&a| snap.support(a).unwrap() >= 1)
             .collect();
-        // A 1-byte budget forces singleton segments.
-        let tiny = pack_segments(&snap, &frequent, 1).unwrap();
+        // With every vertex costed (the 0-core), a 1-byte budget forces
+        // singleton segments.
+        let everything = k_core_mask(g.graph(), 0);
+        let tiny = pack_segments(&snap, &frequent, &everything, 1).unwrap();
         assert_eq!(tiny.len(), frequent.len());
         assert!(tiny.iter().all(|s| s.len() == 1));
         // An unbounded budget packs everything together.
-        let all = pack_segments(&snap, &frequent, usize::MAX).unwrap();
+        let all = pack_segments(&snap, &frequent, &everything, usize::MAX).unwrap();
         assert_eq!(all.len(), 1);
         assert_eq!(all[0], frequent);
+    }
+
+    /// Two planted cliques carrying `hub`/`dense`, a path carrying
+    /// `path0..path3` and a star carrying `star`: at γ 0.5, `min_size` 4
+    /// (`z` 2) the global core is the two cliques, so the `path*` and
+    /// `star` roots lie wholly outside it.
+    fn cliques_and_sparse_roots() -> AttributedGraph {
+        let mut b = AttributedGraphBuilder::new(30);
+        for name in ["hub", "dense", "path0", "path1", "path2", "path3", "star"] {
+            b.intern_attr(name);
+        }
+        for (lo, hi) in [(0u32, 6u32), (6, 11)] {
+            for u in lo..hi {
+                for v in u + 1..hi {
+                    b.add_edge(u, v);
+                }
+            }
+        }
+        b.add_edge(5, 11); // the path hangs off the first clique
+        for v in 11..20u32 {
+            b.add_edge(v, v + 1);
+        }
+        for leaf in 22..30u32 {
+            b.add_edge(21, leaf);
+        }
+        for v in 0..11u32 {
+            b.add_attr(v, 0);
+            if v % 2 == 0 {
+                b.add_attr(v, 1);
+            }
+        }
+        for v in 11..21u32 {
+            b.add_attr(v, 2 + (v % 4));
+            b.add_attr(v, 0);
+        }
+        for v in 21..30u32 {
+            b.add_attr(v, 6);
+        }
+        b.build()
+    }
+
+    #[test]
+    fn segments_are_costed_and_built_over_the_global_core() {
+        let g = cliques_and_sparse_roots();
+        let params = ScpmParams::new(2, 0.5, 4).with_eps_min(0.0);
+        let z = params.quasi_clique.min_required_degree();
+        let core = k_core_mask(g.graph(), z);
+        assert_eq!(core.to_vec(), (0..11).collect::<Vec<_>>());
+        let snap = MappedSnapshot::from_bytes(encode(&g)).unwrap();
+        let frequent: Vec<AttrId> = (0..snap.num_attributes() as AttrId).collect();
+        let everything = k_core_mask(g.graph(), 0);
+        for budget in [1, 64, 200, 1 << 10, usize::MAX] {
+            let before = pack_segments(&snap, &frequent, &everything, budget).unwrap();
+            let after = pack_segments(&snap, &frequent, &core, budget).unwrap();
+            assert!(after.len() <= before.len(), "budget {budget}");
+            if budget == 1 {
+                // The five roots outside the core cost nothing.
+                assert!(after.len() < before.len());
+            }
+            for seg in &after {
+                let mut w = Vec::new();
+                for &a in seg {
+                    w.extend(g.vertices_with(a).iter().filter(|&&v| core.contains(v)));
+                }
+                let graph = working_graph(&snap, seg, &core).unwrap();
+                for v in 0..g.num_vertices() as VertexId {
+                    for &u in graph.graph().neighbors(v) {
+                        // Both endpoints in V(a) ∩ C for some root a.
+                        assert!(w.contains(&v) && w.contains(&u), "edge {v}-{u}");
+                    }
+                }
+            }
+        }
+        assert_equivalent(&g, params.clone(), &[1, 1 << 10, usize::MAX]);
+        assert_equivalent(&g, params.with_top_k(2), &[1, 1 << 10, usize::MAX]);
     }
 
     #[test]

@@ -7,8 +7,75 @@
 //! graph-stats CLI reports and the datasets use for calibration (a planted
 //! community of size `s` and density `p_in` shows up as an
 //! `≈ p_in·(s−1)`-core).
+//!
+//! [`peel_to_core`] is the single-threshold peel on its own: the one queue
+//! loop behind the quasi-clique engine's per-search `z`-core, the miner's
+//! global `z`-core and the out-of-core driver's core over a mapped CSR. It
+//! reads adjacency through a fallible accessor, so a corrupt mapped graph
+//! surfaces as an error instead of a panic.
 
+use crate::bitadj::VertexBitset;
 use crate::csr::{CsrGraph, VertexId};
+
+/// The `k`-core of a graph on the vertices `0..n`, as a membership mask:
+/// every vertex of degree below `k` is removed, and every vertex that drops
+/// below `k` as its neighbours go, to a fixpoint. `neighbors(v)` returns
+/// `v`'s neighbour list; the first error it returns ends the peel.
+///
+/// `O(n + m)` time. Besides the mask it holds one degree word per vertex
+/// and a queue of removed vertices; it never copies the adjacency.
+///
+/// ```
+/// use scpm_graph::builder::graph_from_edges;
+/// use scpm_graph::kcore::peel_to_core;
+///
+/// // A triangle 0-1-2 with a tail 2-3-4: the 2-core is the triangle.
+/// let g = graph_from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)]);
+/// let core = peel_to_core(5, 2, |v| Ok::<_, ()>(g.neighbors(v))).unwrap();
+/// assert_eq!(core.to_vec(), vec![0, 1, 2]);
+/// ```
+pub fn peel_to_core<'a, E>(
+    n: usize,
+    k: usize,
+    mut neighbors: impl FnMut(VertexId) -> Result<&'a [VertexId], E>,
+) -> Result<VertexBitset, E> {
+    let mut alive = VertexBitset::empty(n);
+    if k == 0 {
+        (0..n as VertexId).for_each(|v| alive.insert(v));
+        return Ok(alive);
+    }
+    let mut degree: Vec<u32> = Vec::with_capacity(n);
+    let mut queue: Vec<VertexId> = Vec::new();
+    for v in 0..n as VertexId {
+        let d = neighbors(v)?.len();
+        degree.push(d as u32);
+        if d < k {
+            queue.push(v);
+        } else {
+            alive.insert(v);
+        }
+    }
+    while let Some(v) = queue.pop() {
+        for &u in neighbors(v)? {
+            if alive.contains(u) {
+                degree[u as usize] -= 1;
+                if (degree[u as usize] as usize) < k {
+                    alive.remove(u);
+                    queue.push(u);
+                }
+            }
+        }
+    }
+    Ok(alive)
+}
+
+/// [`peel_to_core`] over an in-memory graph.
+pub fn k_core_mask(g: &CsrGraph, k: usize) -> VertexBitset {
+    let Ok(core) = peel_to_core(g.num_vertices(), k, |v| {
+        Ok::<_, std::convert::Infallible>(g.neighbors(v))
+    });
+    core
+}
 
 /// Core numbers of every vertex plus the decomposition order.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -180,6 +247,37 @@ mod tests {
             let peeled = kcore_naive(&g, z as usize);
             assert_eq!(core, peeled);
         }
+    }
+
+    #[test]
+    fn single_peel_matches_decomposition_and_naive() {
+        for seed in 0..5u64 {
+            let g = crate::generators::erdos_renyi::gnm(60, 150, seed);
+            let d = CoreDecomposition::of(&g);
+            for k in 0..=d.degeneracy + 1 {
+                let mask = k_core_mask(&g, k as usize);
+                assert!(mask.canonical());
+                assert_eq!(mask.to_vec(), d.k_core(k), "seed {seed} k {k}");
+                assert_eq!(mask.to_vec(), kcore_naive(&g, k as usize));
+            }
+        }
+    }
+
+    #[test]
+    fn peel_stops_at_the_first_accessor_error() {
+        let g = graph_from_edges(4, [(0, 1), (1, 2), (2, 0), (2, 3)]);
+        let mut calls = 0;
+        let out = peel_to_core(4, 2, |v| {
+            calls += 1;
+            if v == 3 {
+                Err("bad row")
+            } else {
+                Ok(g.neighbors(v))
+            }
+        });
+        assert_eq!(out, Err("bad row"));
+        assert_eq!(calls, 4);
+        assert!(k_core_mask(&CsrGraph::empty(0), 3).is_empty());
     }
 
     #[test]

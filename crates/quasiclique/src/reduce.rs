@@ -31,35 +31,12 @@ use std::collections::VecDeque;
 use crate::config::QcConfig;
 use scpm_graph::bitadj::VertexBitset;
 use scpm_graph::csr::{CsrGraph, VertexId};
+use scpm_graph::kcore::k_core_mask;
 
 /// Returns the sorted vertex list surviving iterated degree-threshold
-/// peeling.
+/// peeling: the `z`-core of `g` ([`scpm_graph::kcore::peel_to_core`]).
 pub fn reduce_vertices(g: &CsrGraph, cfg: &QcConfig) -> Vec<VertexId> {
-    let z = cfg.min_required_degree();
-    let n = g.num_vertices();
-    if z == 0 {
-        return (0..n as VertexId).collect();
-    }
-    let mut degree: Vec<usize> = (0..n as VertexId).map(|v| g.degree(v)).collect();
-    let mut alive = vec![true; n];
-    let mut queue: Vec<VertexId> = (0..n as VertexId)
-        .filter(|&v| degree[v as usize] < z)
-        .collect();
-    for &v in &queue {
-        alive[v as usize] = false;
-    }
-    while let Some(v) = queue.pop() {
-        for &u in g.neighbors(v) {
-            if alive[u as usize] {
-                degree[u as usize] -= 1;
-                if degree[u as usize] < z {
-                    alive[u as usize] = false;
-                    queue.push(u);
-                }
-            }
-        }
-    }
-    (0..n as VertexId).filter(|&v| alive[v as usize]).collect()
+    k_core_mask(g, cfg.min_required_degree()).to_vec()
 }
 
 /// Reusable buffers of the two-hop core peel, grown to the largest graph

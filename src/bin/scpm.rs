@@ -76,7 +76,11 @@ fn main() -> ExitCode {
         } else {
             rest.to_vec()
         };
-    let flags = match Flags::parse(&rest) {
+    if accepted(command).is_none() {
+        eprintln!("error: unknown command `{command}`");
+        return ExitCode::FAILURE;
+    }
+    let flags = match Flags::parse(&rest, command) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("error: {e}\n\n{USAGE}");
@@ -95,7 +99,7 @@ fn main() -> ExitCode {
         "nullmodel" => nullmodel(&flags),
         "convert" => convert(&flags),
         "closed" => closed(&flags),
-        other => Err(format!("unknown command `{other}`")),
+        other => unreachable!("`{other}` has a flag set but no handler"),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -139,58 +143,55 @@ const USAGE: &str = "usage:
 formats: see docs/DATASETS.md for the byte-level grammars";
 
 /// Minimal `--flag value` parser (boolean flags take no value). A flag
-/// no command knows is an error, so a misspelling never silently falls
-/// back to a default.
+/// the command does not read is an error, so a misspelling never silently
+/// falls back to a default and a flag of another command is never
+/// silently ignored.
 struct Flags {
     values: HashMap<String, String>,
     bools: Vec<String>,
 }
 
+/// Every flag that takes no value.
 const BOOL_FLAGS: &[&str] = &["naive", "strict-vertices", "raw-attr-order", "json", "mmap"];
 
-/// Every flag that takes a value, across all commands.
-const VALUE_FLAGS: &[&str] = &[
-    "algo",
-    "attrs",
-    "checkpoint-every",
-    "data-dir",
-    "dataset",
-    "delta",
-    "delta-min",
-    "dot",
-    "edges",
-    "eps-min",
-    "format",
-    "gamma",
-    "graph",
-    "host",
-    "ids",
-    "limit",
-    "max-attrs",
-    "max-frac",
-    "memory-budget",
-    "min-attrs",
-    "min-size",
-    "order",
-    "out",
-    "points",
-    "port",
-    "pvalue-sims",
-    "repr",
-    "scale",
-    "seed",
-    "self-loops",
-    "sigma-min",
-    "sims",
-    "snapshot",
-    "split-depth",
-    "threads",
-    "top",
-    "top-k",
+const GRAPH_INPUT: &str = "graph snapshot";
+/// Every flag [`params_from`] reads: "the mine thresholds".
+const THRESHOLDS: &str =
+    "sigma-min gamma min-size eps-min delta-min top-k order repr min-attrs max-attrs";
+const SCHEDULE: &str = "threads split-depth";
+const INGEST_INPUT: &str = "edges attrs format ids self-loops top strict-vertices raw-attr-order";
+
+/// The flags each command reads, as groups of space-separated names.
+#[rustfmt::skip]
+const ACCEPTED: &[(&str, &[&str])] = &[
+    ("ingest", &[INGEST_INPUT, "out memory-budget"]),
+    ("mine", &[GRAPH_INPUT, THRESHOLDS, SCHEDULE, "algo limit memory-budget json mmap naive"]),
+    ("update", &[GRAPH_INPUT, THRESHOLDS, SCHEDULE, "delta out json"]),
+    ("serve", &[GRAPH_INPUT, THRESHOLDS, SCHEDULE, "port host data-dir checkpoint-every"]),
+    ("recover", &[THRESHOLDS, SCHEDULE, "data-dir"]),
+    ("induce", &[GRAPH_INPUT, "attrs dot gamma min-size pvalue-sims seed"]),
+    ("generate", &["dataset scale seed out"]),
+    ("stats", &[GRAPH_INPUT, INGEST_INPUT]),
+    ("nullmodel", &[GRAPH_INPUT, "gamma min-size points sims seed max-frac"]),
+    ("convert", &[GRAPH_INPUT, "out"]),
+    ("closed", &[GRAPH_INPUT, "sigma-min max-attrs limit"]),
 ];
 
+/// The flag groups of `command`, or `None` for an unknown command.
+fn accepted(command: &str) -> Option<&'static [&'static str]> {
+    ACCEPTED
+        .iter()
+        .find(|(c, _)| *c == command)
+        .map(|(_, g)| *g)
+}
+
+fn accepts(groups: &[&str], name: &str) -> bool {
+    groups.iter().any(|g| g.split(' ').any(|f| f == name))
+}
+
 impl Flags {
-    fn parse(args: &[String]) -> Result<Flags, String> {
+    fn parse(args: &[String], command: &str) -> Result<Flags, String> {
+        let groups = accepted(command).unwrap_or_default();
         let mut values = HashMap::new();
         let mut bools = Vec::new();
         let mut i = 0;
@@ -199,13 +200,17 @@ impl Flags {
             let Some(name) = arg.strip_prefix("--") else {
                 return Err(format!("expected --flag, got `{arg}`"));
             };
+            if !accepts(groups, name) {
+                return Err(if ACCEPTED.iter().any(|(_, g)| accepts(g, name)) {
+                    format!("`--{name}` is not a flag of `scpm {command}`")
+                } else {
+                    format!("unknown flag `--{name}`")
+                });
+            }
             if BOOL_FLAGS.contains(&name) {
                 bools.push(name.to_string());
                 i += 1;
                 continue;
-            }
-            if !VALUE_FLAGS.contains(&name) {
-                return Err(format!("unknown flag `--{name}`"));
             }
             let value = args
                 .get(i + 1)
@@ -896,9 +901,14 @@ fn closed(flags: &Flags) -> Result<(), String> {
 mod tests {
     use super::*;
 
+    /// Parses `args` as `scpm mine` would.
     fn parse(args: &[&str]) -> Result<Flags, String> {
+        parse_as("mine", args)
+    }
+
+    fn parse_as(command: &str, args: &[&str]) -> Result<Flags, String> {
         let owned: Vec<String> = args.iter().map(|s| s.to_string()).collect();
-        Flags::parse(&owned)
+        Flags::parse(&owned, command)
     }
 
     #[test]
@@ -923,6 +933,44 @@ mod tests {
             .unwrap();
         assert_eq!(e, "unknown flag `--sigma-mn`");
         assert!(parse(&["--jsn"]).is_err());
+    }
+
+    #[test]
+    fn each_command_rejects_the_flags_it_does_not_read() {
+        let e = parse_as("stats", &["--graph", "g.snap", "--top-k", "0"])
+            .err()
+            .unwrap();
+        assert_eq!(e, "`--top-k` is not a flag of `scpm stats`");
+        assert!(parse_as("convert", &["--eps-min", "7"]).is_err());
+        assert!(parse_as("generate", &["--json"]).is_err());
+        assert!(parse_as("recover", &["--graph", "g.snap"]).is_err());
+        // A misspelling reads as one whatever the command.
+        let e = parse_as("stats", &["--sigma-mn", "1"]).err().unwrap();
+        assert_eq!(e, "unknown flag `--sigma-mn`");
+    }
+
+    #[test]
+    fn every_flag_in_the_usage_text_is_accepted_by_its_command() {
+        // Each `scpm <command>` block of USAGE names the flags it takes.
+        let mut command = "";
+        for line in USAGE.lines().skip(1) {
+            let line = line.trim_start();
+            if let Some(rest) = line.strip_prefix("scpm ") {
+                command = rest.split_whitespace().next().unwrap();
+            }
+            if line.starts_with("formats:") {
+                break;
+            }
+            let groups = accepted(command).unwrap();
+            for word in line.split(|c: char| c.is_whitespace() || "[]|()".contains(c)) {
+                if let Some(name) = word.strip_prefix("--") {
+                    assert!(accepts(groups, name), "scpm {command} --{name}");
+                }
+            }
+        }
+        assert!(ACCEPTED
+            .iter()
+            .all(|(c, _)| USAGE.contains(&format!("scpm {c}"))));
     }
 
     #[test]
@@ -1011,14 +1059,17 @@ mod tests {
         std::fs::write(&edges, "0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n3 4\n4 4\n0 1\n").unwrap();
         std::fs::write(&attrs, "0 db\n1 db\n2 db\n3 db ml\n4 ml\n").unwrap();
         let snap = dir.join("tiny.snap");
-        let f = parse(&[
-            "--edges",
-            edges.to_str().unwrap(),
-            "--attrs",
-            attrs.to_str().unwrap(),
-            "--out",
-            snap.to_str().unwrap(),
-        ])
+        let f = parse_as(
+            "ingest",
+            &[
+                "--edges",
+                edges.to_str().unwrap(),
+                "--attrs",
+                attrs.to_str().unwrap(),
+                "--out",
+                snap.to_str().unwrap(),
+            ],
+        )
         .unwrap();
         ingest(&f).unwrap();
         let f = parse(&[
@@ -1076,10 +1127,10 @@ mod tests {
         ];
         let mut in_mem: Vec<&str> = base.to_vec();
         in_mem.push(snap_a.to_str().unwrap());
-        ingest(&parse(&in_mem).unwrap()).unwrap();
+        ingest(&parse_as("ingest", &in_mem).unwrap()).unwrap();
         let mut external: Vec<&str> = base.to_vec();
         external.extend([snap_b.to_str().unwrap(), "--memory-budget", "1"]);
-        ingest(&parse(&external).unwrap()).unwrap();
+        ingest(&parse_as("ingest", &external).unwrap()).unwrap();
         assert_eq!(
             std::fs::read(&snap_a).unwrap(),
             std::fs::read(&snap_b).unwrap(),
@@ -1118,18 +1169,18 @@ mod tests {
 
     #[test]
     fn ingest_flag_validation() {
-        let f = parse(&["--ids", "sideways"]).unwrap();
+        let f = parse_as("ingest", &["--ids", "sideways"]).unwrap();
         assert!(ingest_opts_from(&f).is_err());
-        let f = parse(&["--self-loops", "keep"]).unwrap();
+        let f = parse_as("ingest", &["--self-loops", "keep"]).unwrap();
         assert!(ingest_opts_from(&f).is_err());
-        let f = parse(&["--format", "yaml"]).unwrap();
+        let f = parse_as("ingest", &["--format", "yaml"]).unwrap();
         assert!(format_from(&f, Path::new("g.txt")).is_err());
-        let f = parse(&[]).unwrap();
+        let f = parse_as("ingest", &[]).unwrap();
         assert_eq!(
             format_from(&f, Path::new("g.adj")).unwrap(),
             SourceFormat::Adjacency
         );
-        let f = parse(&["--strict-vertices", "--raw-attr-order"]).unwrap();
+        let f = parse_as("ingest", &["--strict-vertices", "--raw-attr-order"]).unwrap();
         let opts = ingest_opts_from(&f).unwrap();
         assert_eq!(opts.unknown_vertices, UnknownVertexPolicy::Error);
         assert!(!opts.canonical_attrs);
@@ -1141,15 +1192,18 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let edges = dir.join("g.edges");
         std::fs::write(&edges, "0 1\n1 2\n").unwrap();
-        let f = parse(&["--edges", edges.to_str().unwrap()]).unwrap();
+        let f = parse_as("stats", &["--edges", edges.to_str().unwrap()]).unwrap();
         stats(&f).unwrap();
         // Raw files and ready graphs are mutually exclusive inputs.
-        let f = parse(&[
-            "--edges",
-            edges.to_str().unwrap(),
-            "--graph",
-            edges.to_str().unwrap(),
-        ])
+        let f = parse_as(
+            "stats",
+            &[
+                "--edges",
+                edges.to_str().unwrap(),
+                "--graph",
+                edges.to_str().unwrap(),
+            ],
+        )
         .unwrap();
         assert!(stats(&f).is_err());
         std::fs::remove_dir_all(&dir).ok();
@@ -1160,19 +1214,22 @@ mod tests {
         let dir = std::env::temp_dir().join("scpm_cli_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("tiny.txt");
-        let f = parse(&[
-            "--dataset",
-            "dblp",
-            "--scale",
-            "0.003",
-            "--seed",
-            "1",
-            "--out",
-            path.to_str().unwrap(),
-        ])
+        let f = parse_as(
+            "generate",
+            &[
+                "--dataset",
+                "dblp",
+                "--scale",
+                "0.003",
+                "--seed",
+                "1",
+                "--out",
+                path.to_str().unwrap(),
+            ],
+        )
         .unwrap();
         generate(&f).unwrap();
-        let f2 = parse(&["--graph", path.to_str().unwrap()]).unwrap();
+        let f2 = parse_as("stats", &["--graph", path.to_str().unwrap()]).unwrap();
         stats(&f2).unwrap();
         let f3 = parse(&[
             "--graph",
@@ -1186,27 +1243,33 @@ mod tests {
         ])
         .unwrap();
         mine(&f3).unwrap();
-        let f4 = parse(&[
-            "--graph",
-            path.to_str().unwrap(),
-            "--points",
-            "4",
-            "--sims",
-            "3",
-        ])
+        let f4 = parse_as(
+            "nullmodel",
+            &[
+                "--graph",
+                path.to_str().unwrap(),
+                "--points",
+                "4",
+                "--sims",
+                "3",
+            ],
+        )
         .unwrap();
         nullmodel(&f4).unwrap();
         // Text → snapshot → text conversion preserves counts.
         let snap = dir.join("tiny.snap");
-        let f5 = parse(&[
-            "--graph",
-            path.to_str().unwrap(),
-            "--out",
-            snap.to_str().unwrap(),
-        ])
+        let f5 = parse_as(
+            "convert",
+            &[
+                "--graph",
+                path.to_str().unwrap(),
+                "--out",
+                snap.to_str().unwrap(),
+            ],
+        )
         .unwrap();
         convert(&f5).unwrap();
-        let f6 = parse(&["--graph", snap.to_str().unwrap()]).unwrap();
+        let f6 = parse_as("stats", &["--graph", snap.to_str().unwrap()]).unwrap();
         stats(&f6).unwrap();
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&snap).ok();

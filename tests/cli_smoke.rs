@@ -268,6 +268,40 @@ fn misspelled_flags_exit_2_with_usage() {
 }
 
 #[test]
+fn non_mining_commands_reject_mining_flags_with_usage() {
+    let path = temp_graph("foreign_flags");
+    let graph = path.to_str().unwrap();
+    let out_path = path.with_extension("copy.txt");
+    let copy = out_path.to_str().unwrap();
+    for (args, flag) in [
+        (
+            vec![
+                "stats", "--graph", graph, "--top-k", "0", "--order", "sideways",
+            ],
+            "`--top-k` is not a flag of `scpm stats`",
+        ),
+        (
+            vec!["convert", "--graph", graph, "--out", copy, "--eps-min", "7"],
+            "`--eps-min` is not a flag of `scpm convert`",
+        ),
+    ] {
+        let out = scpm(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(flag), "{stderr}");
+        assert!(stderr.contains("usage:"), "{stderr}");
+        assert!(out.stdout.is_empty(), "the command must not run");
+    }
+    assert!(!out_path.exists(), "convert must not have written");
+    // The same commands still run with their own flags.
+    assert!(scpm(&["stats", "--graph", graph]).status.success());
+    assert!(scpm(&["convert", "--graph", graph, "--out", copy])
+        .status
+        .success());
+    std::fs::remove_file(&out_path).ok();
+}
+
+#[test]
 fn generate_convert_nullmodel_pipeline() {
     let dir = std::env::temp_dir().join("scpm_cli_smoke_pipe");
     std::fs::create_dir_all(&dir).unwrap();
