@@ -8,49 +8,54 @@
 //! That is the right call for datasets that fit; it is the wrong call for
 //! the paper-scale networks the out-of-core CI job exercises. This module
 //! reproduces the normalization **byte-for-byte** (the differential tests
-//! and the `out-of-core` CI job enforce it) with a classic external-sort
-//! plan that parses the source text exactly once:
+//! and the `out-of-core` CI job enforce it) with a counting-sort plan that
+//! parses the source text exactly once:
 //!
-//! 1. **Pass 1 — survey.** Stream-parse every source file through one
+//! 1. **Survey.** Stream-parse every source file through one
 //!    [`StreamingSource`]: this builds the vertex and attribute interners,
 //!    the structural marks, and the self-loop count in `O(V + A)` memory,
 //!    and writes each interned record as a little-endian `(u32, u32)` to a
 //!    raw id log in the scratch directory (one log for edges, one for
-//!    pairs). The id policy, relabeling map, attribute canonicalization
+//!    pairs). On the way it counts the raw records of every key: both
+//!    endpoints of each edge, and the vertex and the attribute of each
+//!    pair. The id policy, relabeling map, attribute canonicalization
 //!    order, and vertex count `n` all fall out here.
-//! 2. **Pass 2 — spill.** Stream the logs back (deleting each once read),
-//!    relabel each record, and push it into a `RunSpiller`: a
-//!    fixed-capacity buffer that sorts, dedups and spills to a temporary
-//!    run file every time it fills. Each undirected edge is pushed as
-//!    *both* directed copies, so the merged `(src, dst)` stream is exactly
-//!    the CSR neighbor order; pairs are spilled twice, keyed `(v, a)` for
-//!    the forward table and `(a, v)` for the inverted index.
-//! 3. **Merge.** K-way merge-dedup of each run set (fan-in capped, with
-//!    intermediate merge passes when a tiny budget produces many runs)
-//!    streams the section payloads into temp files while counting degrees
-//!    and duplicates.
-//! 4. **Assemble.** With all counts known, compute the v3 [`layout`],
-//!    stream the payloads into the final file (hashing each section with
-//!    [`Fnv1a64`] on the way through), patch the directory and header
-//!    checksums, fsync, and rename into place —
-//!    the same atomicity contract as `write_snapshot_atomic`.
+//! 2. **Scatter.** Three key-grouped streams make the snapshot: directed
+//!    edges keyed by source (each undirected edge gives both copies, so
+//!    the grouped values are exactly the CSR neighbor lists), pairs keyed
+//!    by vertex, and pairs keyed by attribute. Each stream is read back
+//!    from its log, relabeled, and every value is placed at its key's
+//!    counted position in a block of 4-byte values (the key is implied by
+//!    the position). Each key's slice is then sorted and deduplicated, and
+//!    the keys are emitted in order. A stream larger than one block is
+//!    first partitioned by key range into at most 64 partition files,
+//!    again while a partition is still too large; a single key whose raw
+//!    records exceed the block (a hub listed with duplicates) is
+//!    deduplicated through a bitmap over its value universe instead.
+//! 3. **Write.** The emitted values stream straight into the snapshot
+//!    file beside `out`, in layout order, hashed with [`Fnv1a64`] on the
+//!    way through. Each offsets section is known once its stream ends and
+//!    is written back by seek, as are the directory and header checksums;
+//!    then fsync and rename into place — the same atomicity contract as
+//!    `write_snapshot_atomic`.
 //!
-//! The memory budget bounds the *record buffers* — the `O(m + p)` part
-//! that makes in-memory ingestion scale with the data. The interners,
-//! offset arrays and structural marks are `O(V + A)` and deliberately stay
-//! in memory: they are the same order as (and in practice smaller than)
-//! the token tables any correct normalizer must hold to relabel at all.
-//! Temp disk holds the raw logs (8 bytes per edge and per pair, until pass
-//! 2 ends) and then the runs and payloads.
+//! The memory budget bounds the *block* — the `O(m + p)` part that makes
+//! in-memory ingestion scale with the data. The interners, key counts,
+//! offset arrays, structural marks and the oversize-key bitmap are
+//! `O(V + A)` and deliberately stay in memory: they are the same order as
+//! (and in practice smaller than) the token tables any correct normalizer
+//! must hold to relabel at all. Temp disk holds the raw logs (8 bytes per
+//! edge and per pair), partition files only while a stream exceeds its
+//! block, and the unfinished snapshot beside `out`.
 
-use std::collections::BinaryHeap;
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use scpm_graph::io::source::{canonical_numeric, StreamingSource};
 use scpm_graph::io::ParseError;
-use scpm_graph::snapshot::layout::{self, Counts, Section, DIR_OFFSET, SECTIONS};
+use scpm_graph::snapshot::layout::{self, Counts, Section, DIR_OFFSET, SECTIONS, SECTION_COUNT};
 use scpm_graph::snapshot::Fnv1a64;
 
 use crate::ingest::{
@@ -61,14 +66,18 @@ use crate::ingest::{
 /// Knobs for one external ingest run.
 #[derive(Clone, Debug)]
 pub struct ExternalOptions {
-    /// Budget, in bytes, for the sort/spill record buffers. Small budgets
-    /// produce more runs and more merge passes, never wrong answers; the
-    /// floor is a few pages so degenerate budgets still make progress.
+    /// Budget, in bytes, for the block that groups records by key (4 bytes
+    /// per record). A stream larger than the block is partitioned by key
+    /// range through temp files first, so small budgets cost more passes
+    /// over the records, never wrong answers; the floor is 4096 records so
+    /// degenerate budgets still make progress.
     pub memory_budget: usize,
     /// Where to put the scratch directory `<out file name>.oocore-tmp`
-    /// that holds raw id logs, spill runs and section temp files. Defaults
-    /// to the output snapshot's directory. The scratch directory is removed
-    /// when the ingest ends, on success and on every error.
+    /// that holds the raw id logs and any partition files. Defaults to the
+    /// output snapshot's directory; it may be on another filesystem, since
+    /// the snapshot itself is written beside `out`. The scratch directory
+    /// and the unfinished snapshot are removed when the ingest ends, on
+    /// success and on every error.
     pub temp_dir: Option<PathBuf>,
 }
 
@@ -81,15 +90,14 @@ impl Default for ExternalOptions {
     }
 }
 
-/// Minimum record capacity of a spill buffer, whatever the budget says:
-/// below this the run count explodes without saving measurable memory.
-const MIN_BUFFER_RECORDS: usize = 4096;
+/// Minimum record capacity of the block, whatever the budget says: below
+/// this the partition passes multiply without saving measurable memory.
+const MIN_BLOCK_RECORDS: usize = 4096;
 
-/// Maximum merge fan-in; beyond this, runs are reduced in intermediate
-/// passes so the merge's own buffers stay bounded.
+/// Maximum number of partition files one pass over a stream writes.
 const MAX_FANIN: usize = 64;
 
-/// Buffer size of each record reader and writer (runs, logs, payloads).
+/// Buffer size of each record reader and writer (logs, partition files).
 const RECORD_IO_BUF: usize = 64 << 10;
 
 /// Ingests on-disk files straight into a v3 snapshot at `out`, holding at
@@ -115,30 +123,50 @@ pub fn ingest_files_external(
         return Ok(ingested.report);
     }
     let label = label_of(structure);
+    let name = out.file_name().ok_or_else(|| {
+        io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("snapshot path has no file name: {}", out.display()),
+        )
+    })?;
+    let sibling = |suffix: &str| {
+        let mut sibling = name.to_os_string();
+        sibling.push(suffix);
+        sibling
+    };
+    // The snapshot is written in `out`'s own directory, so the final
+    // rename never crosses filesystems whatever `temp_dir` is.
+    let partial = out.with_file_name(sibling(".tmp"));
     let scratch = ext
         .temp_dir
         .as_deref()
         .unwrap_or_else(|| out.parent().unwrap_or(Path::new(".")))
-        .join(format!(
-            "{}.oocore-tmp",
-            out.file_name().and_then(|s| s.to_str()).unwrap_or("snap")
-        ));
+        .join(sibling(".oocore-tmp"));
     std::fs::create_dir_all(&scratch)?;
     let result: Result<IngestReport, IngestError> = (|| {
-        // ---- Pass 1: the one parse. Interners, structural marks and
-        // self-loops stay in memory; the interned records go to raw logs. ----
+        // ---- Survey: the one parse. Interners, structural marks,
+        // self-loops and per-key record counts stay in memory; the interned
+        // records go to raw logs. ----
         let mut survey = StreamingSource::new();
         let edge_log = scratch.join("edges.log");
-        let mut log = RecordWriter::create(&edge_log)?;
-        parse_structure(format, structure, &mut survey, &mut |e| {
-            log.push(e).map_err(ParseError::Io)
+        let mut log = RecordWriter::create(&edge_log, RECORD_IO_BUF)?;
+        let mut edge_counts = Vec::new();
+        parse_structure(format, structure, &mut survey, &mut |(u, v)| {
+            bump(&mut edge_counts, u);
+            bump(&mut edge_counts, v);
+            log.push((u, v)).map_err(ParseError::Io)
         })?;
         log.finish()?;
         let pair_log = scratch.join("pairs.log");
-        let mut log = RecordWriter::create(&pair_log)?;
+        let mut log = RecordWriter::create(&pair_log, RECORD_IO_BUF)?;
+        let (mut vertex_pairs, mut attr_pairs) = (Vec::new(), Vec::new());
         if let Some(attrs) = attrs {
             let file = File::open(attrs)?;
-            survey.read_attr_table(file, &mut |p| log.push(p).map_err(ParseError::Io))?;
+            survey.read_attr_table(file, &mut |(v, a)| {
+                bump(&mut vertex_pairs, v);
+                bump(&mut attr_pairs, a);
+                log.push((v, a)).map_err(ParseError::Io)
+            })?;
         }
         log.finish()?;
 
@@ -207,116 +235,106 @@ pub fn ingest_files_external(
             attr_map[old as usize] = new as u32;
         }
 
-        // ---- Pass 2: stream the logs back, relabel, spill sorted runs. ----
-        let cap = (ext.memory_budget / 2 / 8).max(MIN_BUFFER_RECORDS);
-        let relabel = |v: u32| -> u32 { vertex_map.as_ref().map_or(v, |m| m[v as usize]) };
-
-        let mut edge_runs = RunSpiller::new(&scratch, "edges", cap)?;
-        let mut pair_runs = RunSpiller::new(&scratch, "pairs-va", cap / 2)?;
-        let mut inv_runs = RunSpiller::new(&scratch, "pairs-av", cap / 2)?;
-        drain_log(&edge_log, |(u, v)| {
-            let (u, v) = (relabel(u), relabel(v));
-            edge_runs.push((u, v))?;
-            edge_runs.push((v, u))
-        })?;
-        drain_log(&pair_log, |(v, a)| {
-            let rec = (relabel(v), attr_map[a as usize]);
-            pair_runs.push(rec)?;
-            inv_runs.push((rec.1, rec.0))
-        })?;
-
-        // ---- Merge each run set into its section payload temp files. ----
-        // Edges: grouped by source vertex, the dedup'd `(src, dst)` stream
-        // *is* the concatenated sorted neighbor lists.
-        let edge_raw = edge_runs.raw_records();
-        let mut degrees = vec![0u64; n];
-        let edges_tmp = scratch.join("csr_edges.payload");
-        let unique_directed;
-        {
-            let mut w = BufWriter::new(File::create(&edges_tmp)?);
-            let runs = edge_runs.finish()?;
-            unique_directed = merge_runs(runs, &scratch, "edges", |(u, v)| {
-                degrees[u as usize] += 1;
-                w.write_all(&v.to_le_bytes())
-            })?;
-            w.flush()?;
+        // Survey counts, moved onto the final ids.
+        let vmap = vertex_map.as_deref();
+        let by_vertex = |raw: Vec<u64>| {
+            let mut counts = vec![0u64; n];
+            for (v, k) in raw.into_iter().enumerate() {
+                counts[relabel(vmap, v as u32) as usize] += k;
+            }
+            counts
+        };
+        let mut by_attr = vec![0u64; num_attrs];
+        for (a, k) in attr_pairs.into_iter().enumerate() {
+            by_attr[attr_map[a] as usize] = k;
         }
+        let edge_raw: u64 = edge_counts.iter().sum();
+        let pair_raw: u64 = vertex_pairs.iter().sum();
+
+        // ---- Scatter each stream and write it into the snapshot. ----
+        let mut blocks = Blocks::new(&scratch, (ext.memory_budget / 4).max(MIN_BLOCK_RECORDS));
+        let mut snap = SnapshotFile::create(&partial)?;
+        let csr_offsets = snap.grouped(
+            Section::CsrOffsets,
+            &mut blocks,
+            &Feed::Edges {
+                log: &edge_log,
+                vmap,
+            },
+            by_vertex(edge_counts),
+            n,
+        )?;
+        std::fs::remove_file(&edge_log)?;
+        let unique_directed = csr_offsets[n];
         debug_assert_eq!(unique_directed % 2, 0, "directed edge copies must pair up");
         let m = unique_directed / 2;
         let duplicate_edges = ((edge_raw - unique_directed) / 2) as usize;
-        let csr_offsets = prefix_sum(&degrees);
 
-        // Forward pairs: grouped by vertex.
-        let pair_raw = pair_runs.raw_records();
-        let mut attr_degrees = vec![0u64; n];
-        let pairs_tmp = scratch.join("vertex_attrs.payload");
-        let unique_pairs;
-        {
-            let mut w = BufWriter::new(File::create(&pairs_tmp)?);
-            let runs = pair_runs.finish()?;
-            unique_pairs = merge_runs(runs, &scratch, "pairs-va", |(v, a)| {
-                attr_degrees[v as usize] += 1;
-                w.write_all(&a.to_le_bytes())
-            })?;
-            w.flush()?;
-        }
+        let attr_offsets = snap.grouped(
+            Section::AttrOffsets,
+            &mut blocks,
+            &Feed::Pairs {
+                log: &pair_log,
+                vmap,
+                amap: &attr_map,
+                inverse: false,
+            },
+            by_vertex(vertex_pairs),
+            num_attrs,
+        )?;
+        let unique_pairs = attr_offsets[n];
         let duplicate_pairs = (pair_raw - unique_pairs) as usize;
-        let attr_offsets = prefix_sum(&attr_degrees);
-
-        // Inverted pairs: grouped by attribute.
-        let mut supports = vec![0u64; num_attrs];
-        let inv_tmp = scratch.join("inv_vertices.payload");
-        {
-            let mut w = BufWriter::new(File::create(&inv_tmp)?);
-            let runs = inv_runs.finish()?;
-            let unique_inv = merge_runs(runs, &scratch, "pairs-av", |(a, v)| {
-                supports[a as usize] += 1;
-                w.write_all(&v.to_le_bytes())
-            })?;
-            w.flush()?;
-            debug_assert_eq!(unique_inv, unique_pairs);
-        }
-        let inv_offsets = prefix_sum(&supports);
+        let inv_offsets = snap.grouped(
+            Section::InvOffsets,
+            &mut blocks,
+            &Feed::Pairs {
+                log: &pair_log,
+                vmap,
+                amap: &attr_map,
+                inverse: true,
+            },
+            by_attr,
+            n,
+        )?;
+        std::fs::remove_file(&pair_log)?;
+        debug_assert_eq!(inv_offsets[num_attrs], unique_pairs);
 
         // Interner payload (canonical name order).
-        let mut interner = Vec::new();
-        for idx in 0..num_attrs as u32 {
-            let old = attr_order[idx as usize];
+        snap.begin(Section::Interner)?;
+        for &old in &attr_order {
             let name = survey.attributes.name(old).as_bytes();
-            interner.extend_from_slice(&(name.len() as u32).to_le_bytes());
-            interner.extend_from_slice(name);
+            snap.write(&(name.len() as u32).to_le_bytes())?;
+            snap.write(name)?;
         }
-
-        // ---- Assemble the v3 snapshot. ----
+        snap.end(Section::Interner);
         let counts = Counts {
             n: n as u64,
             m,
             a: num_attrs as u64,
             pairs: unique_pairs,
         };
-        let payloads = SectionPayloads {
-            csr_offsets: &csr_offsets,
-            csr_edges: &edges_tmp,
-            attr_offsets: &attr_offsets,
-            vertex_attrs: &pairs_tmp,
-            inv_offsets: &inv_offsets,
-            inv_vertices: &inv_tmp,
-            interner: &interner,
-        };
-        assemble_snapshot(out, &scratch, counts, &payloads)?;
+        snap.commit(counts, &partial, out)?;
 
         // ---- Report (identical to the in-memory path's). ----
-        let mut rows: Vec<(String, usize)> = (0..num_attrs as u32)
-            .map(|a| {
-                let old = attr_order[a as usize];
-                (
-                    survey.attributes.name(old).to_string(),
-                    supports[a as usize] as usize,
-                )
-            })
+        // The top rows by support, ties by (unique) name; only they clone
+        // their names.
+        let support = |a: usize| (inv_offsets[a + 1] - inv_offsets[a]) as usize;
+        let name = |a: usize| survey.attributes.name(attr_order[a]);
+        let order = |&a: &usize, &b: &usize| {
+            support(b)
+                .cmp(&support(a))
+                .then_with(|| name(a).cmp(name(b)))
+        };
+        let mut top: Vec<usize> = (0..num_attrs).collect();
+        if opts.top_attributes < top.len() {
+            top.select_nth_unstable_by(opts.top_attributes, order);
+            top.truncate(opts.top_attributes);
+        }
+        top.sort_unstable_by(order);
+        let rows = top
+            .into_iter()
+            .map(|a| (name(a).to_string(), support(a)))
             .collect();
-        rows.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        rows.truncate(opts.top_attributes);
 
         Ok(IngestReport {
             label: label.clone(),
@@ -335,6 +353,9 @@ pub fn ingest_files_external(
         })
     })();
     let cleanup = std::fs::remove_dir_all(&scratch);
+    if result.is_err() {
+        std::fs::remove_file(&partial).ok();
+    }
     let report = result?;
     cleanup?;
     Ok(report)
@@ -355,320 +376,498 @@ fn parse_structure(
     Ok(())
 }
 
-fn prefix_sum(counts: &[u64]) -> Vec<u64> {
-    let mut out = Vec::with_capacity(counts.len() + 1);
-    let mut acc = 0u64;
-    out.push(0);
-    for &c in counts {
-        acc += c;
-        out.push(acc);
+/// Counts one raw record of `key`.
+fn bump(counts: &mut Vec<u64>, key: u32) {
+    let key = key as usize;
+    if key >= counts.len() {
+        counts.resize(key + 1, 0);
     }
-    out
+    counts[key] += 1;
 }
 
-/// A fixed-capacity sort buffer that spills sorted, dedup'd runs of
-/// `(u32, u32)` records to disk.
-struct RunSpiller {
-    dir: PathBuf,
-    prefix: String,
-    buf: Vec<(u32, u32)>,
-    cap: usize,
-    runs: Vec<PathBuf>,
-    raw: u64,
+fn relabel(vmap: Option<&[u32]>, v: u32) -> u32 {
+    vmap.map_or(v, |m| m[v as usize])
 }
 
-impl RunSpiller {
-    fn new(dir: &Path, prefix: &str, cap: usize) -> std::io::Result<RunSpiller> {
-        let cap = cap.max(MIN_BUFFER_RECORDS);
-        Ok(RunSpiller {
-            dir: dir.to_path_buf(),
-            prefix: prefix.to_string(),
-            buf: Vec::with_capacity(cap.min(1 << 20)),
-            cap,
-            runs: Vec::new(),
-            raw: 0,
-        })
-    }
+/// Where the `(key, value)` records of one key-grouped stream come from.
+enum Feed<'a> {
+    /// The edge log: each undirected edge yields both directed copies.
+    Edges {
+        log: &'a Path,
+        vmap: Option<&'a [u32]>,
+    },
+    /// The pair log, keyed by vertex, or by attribute when `inverse`.
+    Pairs {
+        log: &'a Path,
+        vmap: Option<&'a [u32]>,
+        amap: &'a [u32],
+        inverse: bool,
+    },
+    /// A partition file of relabeled records, deleted once read.
+    Part(PathBuf),
+}
 
-    fn push(&mut self, rec: (u32, u32)) -> std::io::Result<()> {
-        self.raw += 1;
-        self.buf.push(rec);
-        if self.buf.len() >= self.cap {
-            self.spill()?;
+impl Feed<'_> {
+    /// Streams every record through `f`, relabeled.
+    fn each(&self, mut f: impl FnMut(u32, u32) -> io::Result<()>) -> io::Result<()> {
+        match *self {
+            Feed::Edges { log, vmap } => read_records(log, |u, v| {
+                let (u, v) = (relabel(vmap, u), relabel(vmap, v));
+                f(u, v)?;
+                f(v, u)
+            }),
+            Feed::Pairs {
+                log,
+                vmap,
+                amap,
+                inverse,
+            } => read_records(log, |v, a| {
+                let (v, a) = (relabel(vmap, v), amap[a as usize]);
+                if inverse {
+                    f(a, v)
+                } else {
+                    f(v, a)
+                }
+            }),
+            Feed::Part(ref path) => {
+                read_records(path, f)?;
+                std::fs::remove_file(path)
+            }
         }
-        Ok(())
-    }
-
-    /// Records pushed so far, before any dedup.
-    fn raw_records(&self) -> u64 {
-        self.raw
-    }
-
-    fn spill(&mut self) -> std::io::Result<()> {
-        if self.buf.is_empty() {
-            return Ok(());
-        }
-        self.buf.sort_unstable();
-        self.buf.dedup();
-        let path = self
-            .dir
-            .join(format!("{}.run{:04}", self.prefix, self.runs.len()));
-        let mut w = RecordWriter::create(&path)?;
-        for &rec in &self.buf {
-            w.push(rec)?;
-        }
-        w.finish()?;
-        self.runs.push(path);
-        self.buf.clear();
-        Ok(())
-    }
-
-    fn finish(mut self) -> std::io::Result<Vec<PathBuf>> {
-        self.spill()?;
-        Ok(std::mem::take(&mut self.runs))
     }
 }
 
 /// Buffered writer of little-endian `(u32, u32)` records: the format of
-/// spill runs, intermediate merges and pass 1's raw id logs.
+/// the raw id logs and the partition files.
 struct RecordWriter(BufWriter<File>);
 
 impl RecordWriter {
-    fn create(path: &Path) -> std::io::Result<RecordWriter> {
+    fn create(path: &Path, capacity: usize) -> io::Result<RecordWriter> {
         Ok(RecordWriter(BufWriter::with_capacity(
-            RECORD_IO_BUF,
+            capacity,
             File::create(path)?,
         )))
     }
 
-    fn push(&mut self, (x, y): (u32, u32)) -> std::io::Result<()> {
+    fn push(&mut self, (x, y): (u32, u32)) -> io::Result<()> {
         let mut rec = [0u8; 8];
         rec[..4].copy_from_slice(&x.to_le_bytes());
         rec[4..].copy_from_slice(&y.to_le_bytes());
         self.0.write_all(&rec)
     }
 
-    fn finish(mut self) -> std::io::Result<()> {
+    fn finish(mut self) -> io::Result<()> {
         self.0.flush()
     }
 }
 
-/// Streams every record of a raw id log through `f` in order, then
-/// deletes the log.
-fn drain_log(
-    path: &Path,
-    mut f: impl FnMut((u32, u32)) -> std::io::Result<()>,
-) -> std::io::Result<()> {
-    let mut r = RunReader::open(path)?;
-    while let Some(rec) = r.head {
-        f(rec)?;
-        r.advance()?;
-    }
-    drop(r);
-    std::fs::remove_file(path)
-}
-
-/// Buffered reader over one record file (a sorted run or a raw id log).
-struct RunReader {
-    r: BufReader<File>,
-    head: Option<(u32, u32)>,
-}
-
-impl RunReader {
-    fn open(path: &Path) -> std::io::Result<RunReader> {
-        let mut rr = RunReader {
-            r: BufReader::with_capacity(RECORD_IO_BUF, File::open(path)?),
-            head: None,
-        };
-        rr.advance()?;
-        Ok(rr)
-    }
-
-    fn advance(&mut self) -> std::io::Result<()> {
-        let mut rec = [0u8; 8];
-        self.head = match self.r.read_exact(&mut rec) {
-            Ok(()) => Some((
-                u32::from_le_bytes(rec[..4].try_into().unwrap()),
-                u32::from_le_bytes(rec[4..].try_into().unwrap()),
-            )),
-            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => None,
+/// Streams every record of a record file through `f`, in order.
+fn read_records(path: &Path, mut f: impl FnMut(u32, u32) -> io::Result<()>) -> io::Result<()> {
+    let mut file = File::open(path)?;
+    let mut buf = vec![0u8; RECORD_IO_BUF];
+    let mut filled = 0;
+    loop {
+        let read = match file.read(&mut buf[filled..]) {
+            Ok(0) => break,
+            Ok(k) => k,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(e),
         };
-        Ok(())
-    }
-}
-
-/// K-way merge-dedups sorted runs into `emit`, reducing fan-in with
-/// intermediate passes when a tiny budget produced many runs. Returns the
-/// number of unique records emitted. Run files are deleted as consumed.
-fn merge_runs(
-    mut runs: Vec<PathBuf>,
-    scratch: &Path,
-    prefix: &str,
-    mut emit: impl FnMut((u32, u32)) -> std::io::Result<()>,
-) -> std::io::Result<u64> {
-    let mut gen = 0usize;
-    while runs.len() > MAX_FANIN {
-        let batch: Vec<PathBuf> = runs.drain(..MAX_FANIN).collect();
-        gen += 1;
-        let merged = scratch.join(format!("{prefix}.merge{gen:04}"));
-        let mut w = RecordWriter::create(&merged)?;
-        merge_batch(&batch, |rec| w.push(rec))?;
-        w.finish()?;
-        for p in &batch {
-            std::fs::remove_file(p).ok();
+        filled += read;
+        let whole = filled - filled % 8;
+        for rec in buf[..whole].chunks_exact(8) {
+            f(
+                u32::from_le_bytes(rec[..4].try_into().unwrap()),
+                u32::from_le_bytes(rec[4..].try_into().unwrap()),
+            )?;
         }
-        runs.push(merged);
+        buf.copy_within(whole..filled, 0);
+        filled -= whole;
     }
-    let count = merge_batch(&runs, &mut emit)?;
-    for p in &runs {
-        std::fs::remove_file(p).ok();
-    }
-    Ok(count)
-}
-
-fn merge_batch(
-    runs: &[PathBuf],
-    mut emit: impl FnMut((u32, u32)) -> std::io::Result<()>,
-) -> std::io::Result<u64> {
-    let mut readers = Vec::with_capacity(runs.len());
-    // Min-heap of (record, reader index).
-    let mut heap: BinaryHeap<std::cmp::Reverse<((u32, u32), usize)>> = BinaryHeap::new();
-    for (i, path) in runs.iter().enumerate() {
-        let rr = RunReader::open(path)?;
-        if let Some(rec) = rr.head {
-            heap.push(std::cmp::Reverse((rec, i)));
-        }
-        readers.push(rr);
-    }
-    let mut last: Option<(u32, u32)> = None;
-    let mut unique = 0u64;
-    while let Some(std::cmp::Reverse((rec, i))) = heap.pop() {
-        if last != Some(rec) {
-            emit(rec)?;
-            last = Some(rec);
-            unique += 1;
-        }
-        readers[i].advance()?;
-        if let Some(next) = readers[i].head {
-            heap.push(std::cmp::Reverse((next, i)));
-        }
-    }
-    Ok(unique)
-}
-
-/// The seven section payloads, small ones in memory and big ones as temp
-/// files produced by the merges.
-struct SectionPayloads<'a> {
-    csr_offsets: &'a [u64],
-    csr_edges: &'a Path,
-    attr_offsets: &'a [u64],
-    vertex_attrs: &'a Path,
-    inv_offsets: &'a [u64],
-    inv_vertices: &'a Path,
-    interner: &'a [u8],
-}
-
-/// Streams the payloads into a v3 snapshot at `out`: zero header +
-/// directory first, sections (hashed on the way through), then the patched
-/// directory and header written back, fsync, atomic rename. Byte-identical
-/// to `write_atomic(out, &encode(graph))` for the equivalent graph.
-fn assemble_snapshot(
-    out: &Path,
-    scratch: &Path,
-    counts: Counts,
-    payloads: &SectionPayloads<'_>,
-) -> std::io::Result<u64> {
-    let lay = layout::layout(counts, payloads.interner.len() as u64);
-    let tmp = scratch.join("snapshot.final");
-    let mut f = BufWriter::new(File::create(&tmp)?);
-
-    // Placeholder header + directory (patched below, once checksums exist).
-    f.write_all(&vec![0u8; layout::HEADER_LEN + layout::DIR_LEN])?;
-
-    let mut cursor = (layout::HEADER_LEN + layout::DIR_LEN) as u64;
-    let mut checksums = [0u64; layout::SECTION_COUNT];
-    for s in SECTIONS {
-        let e = lay.extents[s.index()];
-        // Zero-fill the alignment gap.
-        f.write_all(&vec![0u8; (e.offset - cursor) as usize])?;
-        let mut h = Fnv1a64::new();
-        match s {
-            Section::CsrOffsets => write_u64s(&mut f, &mut h, payloads.csr_offsets)?,
-            Section::CsrEdges => copy_hashed(&mut f, &mut h, payloads.csr_edges)?,
-            Section::AttrOffsets => write_u64s(&mut f, &mut h, payloads.attr_offsets)?,
-            Section::VertexAttrs => copy_hashed(&mut f, &mut h, payloads.vertex_attrs)?,
-            Section::InvOffsets => write_u64s(&mut f, &mut h, payloads.inv_offsets)?,
-            Section::InvVertices => copy_hashed(&mut f, &mut h, payloads.inv_vertices)?,
-            Section::Interner => {
-                h.update(payloads.interner);
-                f.write_all(payloads.interner)?;
-            }
-        }
-        checksums[s.index()] = h.finish();
-        cursor = e.offset + e.len;
-    }
-    debug_assert_eq!(cursor, lay.total_len);
-
-    // Build the real header + directory in memory, checksum, patch.
-    let mut head = Vec::with_capacity(layout::HEADER_LEN + layout::DIR_LEN);
-    head.extend_from_slice(scpm_graph::snapshot::MAGIC);
-    head.extend_from_slice(&scpm_graph::snapshot::VERSION.to_le_bytes());
-    head.extend_from_slice(&(layout::SECTION_COUNT as u32).to_le_bytes());
-    head.extend_from_slice(&counts.n.to_le_bytes());
-    head.extend_from_slice(&counts.m.to_le_bytes());
-    head.extend_from_slice(&counts.a.to_le_bytes());
-    head.extend_from_slice(&counts.pairs.to_le_bytes());
-    head.extend_from_slice(&lay.total_len.to_le_bytes());
-    head.extend_from_slice(&0u64.to_le_bytes()); // header checksum slot
-    debug_assert_eq!(head.len(), DIR_OFFSET);
-    for s in SECTIONS {
-        let e = lay.extents[s.index()];
-        head.extend_from_slice(&(s as u32).to_le_bytes());
-        head.extend_from_slice(&0u32.to_le_bytes());
-        head.extend_from_slice(&e.offset.to_le_bytes());
-        head.extend_from_slice(&e.len.to_le_bytes());
-        head.extend_from_slice(&checksums[s.index()].to_le_bytes());
-    }
-    let mut h = Fnv1a64::new();
-    h.update(&head[..layout::HEADER_CHECKSUM_OFFSET]);
-    h.update(&head[DIR_OFFSET..]);
-    let sum = h.finish();
-    head[layout::HEADER_CHECKSUM_OFFSET..DIR_OFFSET].copy_from_slice(&sum.to_le_bytes());
-
-    let mut f = f.into_inner().map_err(|e| e.into_error())?;
-    f.seek(SeekFrom::Start(0))?;
-    f.write_all(&head)?;
-    f.sync_all()?;
-    drop(f);
-    std::fs::rename(&tmp, out)?;
-    if let Some(parent) = out.parent() {
-        if let Ok(dir) = File::open(parent) {
-            dir.sync_all().ok();
-        }
-    }
-    Ok(lay.total_len)
-}
-
-fn write_u64s(f: &mut impl Write, h: &mut Fnv1a64, values: &[u64]) -> std::io::Result<()> {
-    for &v in values {
-        let b = v.to_le_bytes();
-        h.update(&b);
-        f.write_all(&b)?;
+    if filled != 0 {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("truncated record file {}", path.display()),
+        ));
     }
     Ok(())
 }
 
-fn copy_hashed(f: &mut impl Write, h: &mut Fnv1a64, path: &Path) -> std::io::Result<()> {
-    let mut r = BufReader::with_capacity(RECORD_IO_BUF, File::open(path)?);
-    let mut buf = [0u8; 16384];
-    loop {
-        let k = r.read(&mut buf)?;
-        if k == 0 {
-            return Ok(());
+/// The block and the state every key-grouped stream of one ingest shares.
+struct Blocks<'a> {
+    /// Scratch directory for partition files.
+    dir: &'a Path,
+    /// Block capacity in records.
+    cap: usize,
+    /// The block: one value per raw record, grown on demand up to `cap`.
+    buf: Vec<u32>,
+    /// Value bitmap for a key whose raw records exceed the block; all
+    /// zero between uses.
+    seen: Vec<u64>,
+    /// Partition files made so far (names them uniquely).
+    parts: usize,
+}
+
+impl<'a> Blocks<'a> {
+    fn new(dir: &'a Path, cap: usize) -> Blocks<'a> {
+        Blocks {
+            dir,
+            cap,
+            buf: Vec::new(),
+            seen: Vec::new(),
+            parts: 0,
         }
-        h.update(&buf[..k]);
-        f.write_all(&buf[..k])?;
+    }
+
+    /// Emits into `out`, for every key in `keys` in order, that key's
+    /// sorted, deduplicated values. `counts[k]` is key `k`'s raw record
+    /// count on entry and is clobbered; values are below `universe`.
+    fn group(
+        &mut self,
+        feed: &Feed,
+        counts: &mut [u64],
+        keys: Range<usize>,
+        universe: usize,
+        out: &mut Grouped,
+    ) -> io::Result<()> {
+        let total: u64 = counts[keys.clone()].iter().sum();
+        if total <= self.cap as u64 {
+            self.scatter(feed, counts, keys, total as usize, out)
+        } else if keys.len() == 1 {
+            self.dedup_oversize(feed, universe, out)
+        } else {
+            self.partition(feed, counts, keys, universe, out)
+        }
+    }
+
+    /// The counting sort proper: every value lands at its key's next free
+    /// position, then each key's slice is sorted and deduplicated.
+    fn scatter(
+        &mut self,
+        feed: &Feed,
+        counts: &mut [u64],
+        keys: Range<usize>,
+        total: usize,
+        out: &mut Grouped,
+    ) -> io::Result<()> {
+        if self.buf.len() < total {
+            self.buf.resize(total, 0);
+        }
+        // Each key's count becomes its slice start, then its write cursor,
+        // and ends the pass as its slice end.
+        let mut at = 0;
+        for c in &mut counts[keys.clone()] {
+            let k = *c;
+            *c = at;
+            at += k;
+        }
+        let buf = &mut self.buf;
+        feed.each(|k, v| {
+            let c = &mut counts[k as usize];
+            buf[*c as usize] = v;
+            *c += 1;
+            Ok(())
+        })?;
+        // Sort each key's slice and compact its unique values to the
+        // front of the block, so the section takes one write.
+        let (mut start, mut kept) = (0, 0);
+        for &end in &counts[keys] {
+            let end = end as usize;
+            buf[start..end].sort_unstable();
+            let first = kept;
+            for i in start..end {
+                if i == start || buf[i] != buf[i - 1] {
+                    buf[kept] = buf[i];
+                    kept += 1;
+                }
+            }
+            out.key(kept - first);
+            start = end;
+        }
+        out.values(&buf[..kept])
+    }
+
+    /// One key with more raw records than the block: its values are
+    /// deduplicated in a bitmap and emitted in order, a block at a time.
+    fn dedup_oversize(
+        &mut self,
+        feed: &Feed,
+        universe: usize,
+        out: &mut Grouped,
+    ) -> io::Result<()> {
+        if self.seen.len() < universe.div_ceil(64) {
+            self.seen.resize(universe.div_ceil(64), 0);
+        }
+        let seen = &mut self.seen;
+        let words = {
+            let (mut lo, mut hi) = (usize::MAX, 0);
+            feed.each(|_, v| {
+                let w = v as usize / 64;
+                seen[w] |= 1 << (v % 64);
+                lo = lo.min(w);
+                hi = hi.max(w + 1);
+                Ok(())
+            })?;
+            lo.min(hi)..hi
+        };
+        if self.buf.len() < self.cap {
+            self.buf.resize(self.cap, 0);
+        }
+        let (mut fill, mut unique) = (0, 0);
+        for w in words {
+            let mut bits = std::mem::take(&mut seen[w]);
+            while bits != 0 {
+                if fill == self.cap {
+                    out.values(&self.buf)?;
+                    unique += fill;
+                    fill = 0;
+                }
+                self.buf[fill] = (w * 64) as u32 + bits.trailing_zeros();
+                fill += 1;
+                bits &= bits - 1;
+            }
+        }
+        out.values(&self.buf[..fill])?;
+        out.key(unique + fill);
+        Ok(())
+    }
+
+    /// Splits a stream too large for the block into at most [`MAX_FANIN`]
+    /// key ranges, writes one partition file per range in a single read of
+    /// the stream, then groups each file in key order.
+    fn partition(
+        &mut self,
+        feed: &Feed,
+        counts: &mut [u64],
+        keys: Range<usize>,
+        universe: usize,
+        out: &mut Grouped,
+    ) -> io::Result<()> {
+        let ranges = split_keys(counts, keys, self.cap as u64);
+        let starts: Vec<u32> = ranges.iter().map(|r| r.start as u32).collect();
+        // The block is idle while partitioning; its bytes buffer the writers.
+        let io_buf = (self.cap * 4 / ranges.len()).clamp(4096, RECORD_IO_BUF);
+        let mut paths = Vec::with_capacity(ranges.len());
+        let mut writers = Vec::with_capacity(ranges.len());
+        for _ in &ranges {
+            let path = self.dir.join(format!("part{:06}", self.parts));
+            self.parts += 1;
+            writers.push(RecordWriter::create(&path, io_buf)?);
+            paths.push(path);
+        }
+        feed.each(|k, v| writers[starts.partition_point(|&s| s <= k) - 1].push((k, v)))?;
+        for w in writers {
+            w.finish()?;
+        }
+        for (range, path) in ranges.into_iter().zip(paths) {
+            self.group(&Feed::Part(path), counts, range, universe, out)?;
+        }
+        Ok(())
+    }
+}
+
+/// Splits `keys` into at most [`MAX_FANIN`] consecutive ranges holding at
+/// most `max(cap, total / MAX_FANIN)` raw records each, unless a range is
+/// a single key; the target doubles until the split fits the fan-in.
+/// With two or more keys and `total > cap`, there are at least two ranges.
+fn split_keys(counts: &[u64], keys: Range<usize>, cap: u64) -> Vec<Range<usize>> {
+    let total: u64 = counts[keys.clone()].iter().sum();
+    let mut target = cap.max(total.div_ceil(MAX_FANIN as u64));
+    loop {
+        let mut ranges = Vec::new();
+        let (mut start, mut acc) = (keys.start, 0);
+        for k in keys.clone() {
+            if acc + counts[k] > target && k > start {
+                ranges.push(start..k);
+                start = k;
+                acc = 0;
+            }
+            acc += counts[k];
+        }
+        ranges.push(start..keys.end);
+        if ranges.len() <= MAX_FANIN {
+            return ranges;
+        }
+        target *= 2;
+    }
+}
+
+/// The receiving end of one key-grouped stream: values go into the open
+/// snapshot section, and each key's end into the section's offsets.
+struct Grouped<'a> {
+    snap: &'a mut SnapshotFile,
+    offsets: Vec<u64>,
+}
+
+impl Grouped<'_> {
+    /// Writes values of the keys closed so far, in key order.
+    fn values(&mut self, values: &[u32]) -> io::Result<()> {
+        self.snap.write_u32s(values)
+    }
+
+    /// Closes the next key, which holds `len` values.
+    fn key(&mut self, len: usize) {
+        let end = self.offsets[self.offsets.len() - 1] + len as u64;
+        self.offsets.push(end);
+    }
+}
+
+/// A v3 snapshot being written section by section in file order. Each
+/// section is hashed as it is written; skipped bytes (alignment gaps, and
+/// an offsets section until it is filled in) read as zeros.
+struct SnapshotFile {
+    f: BufWriter<File>,
+    pos: u64,
+    /// `(offset, len)` of every finished section.
+    extents: [(u64, u64); SECTION_COUNT],
+    sums: [u64; SECTION_COUNT],
+    hash: Fnv1a64,
+    bytes: Vec<u8>,
+}
+
+impl SnapshotFile {
+    /// Creates the file, positioned after the header and directory.
+    fn create(path: &Path) -> io::Result<SnapshotFile> {
+        let mut snap = SnapshotFile {
+            f: BufWriter::with_capacity(RECORD_IO_BUF, File::create(path)?),
+            pos: 0,
+            extents: [(0, 0); SECTION_COUNT],
+            sums: [0; SECTION_COUNT],
+            hash: Fnv1a64::new(),
+            bytes: Vec::new(),
+        };
+        snap.seek((layout::HEADER_LEN + layout::DIR_LEN) as u64)?;
+        Ok(snap)
+    }
+
+    fn seek(&mut self, at: u64) -> io::Result<()> {
+        if at != self.pos {
+            self.f.seek(SeekFrom::Start(at))?;
+            self.pos = at;
+        }
+        Ok(())
+    }
+
+    /// Starts section `s` at the next aligned position.
+    fn begin(&mut self, s: Section) -> io::Result<()> {
+        self.seek(layout::align_up(self.pos))?;
+        self.extents[s.index()].0 = self.pos;
+        self.hash = Fnv1a64::new();
+        Ok(())
+    }
+
+    fn end(&mut self, s: Section) {
+        let e = &mut self.extents[s.index()];
+        e.1 = self.pos - e.0;
+        self.sums[s.index()] = self.hash.finish();
+    }
+
+    fn write(&mut self, bytes: &[u8]) -> io::Result<()> {
+        self.hash.update(bytes);
+        self.f.write_all(bytes)?;
+        self.pos += bytes.len() as u64;
+        Ok(())
+    }
+
+    fn write_u32s(&mut self, values: &[u32]) -> io::Result<()> {
+        let mut bytes = std::mem::take(&mut self.bytes);
+        for chunk in values.chunks(RECORD_IO_BUF / 4) {
+            bytes.clear();
+            bytes.extend(chunk.iter().flat_map(|v| v.to_le_bytes()));
+            self.write(&bytes)?;
+        }
+        self.bytes = bytes;
+        Ok(())
+    }
+
+    /// Writes one key-grouped stream: the offsets section `table`, then
+    /// the payload section after it. The offsets are known only once the
+    /// payload is written, so the table is skipped and filled in after.
+    fn grouped(
+        &mut self,
+        table: Section,
+        blocks: &mut Blocks,
+        feed: &Feed,
+        mut counts: Vec<u64>,
+        universe: usize,
+    ) -> io::Result<Vec<u64>> {
+        let payload = SECTIONS[table.index() + 1];
+        let table_at = layout::align_up(self.pos);
+        self.seek(table_at + (counts.len() as u64 + 1) * 8)?;
+        self.begin(payload)?;
+        let keys = 0..counts.len();
+        let mut offsets = Vec::with_capacity(keys.len() + 1);
+        offsets.push(0);
+        let mut out = Grouped {
+            snap: self,
+            offsets,
+        };
+        blocks.group(feed, &mut counts, keys, universe, &mut out)?;
+        let offsets = out.offsets;
+        self.end(payload);
+        let end = self.pos;
+        self.seek(table_at)?;
+        self.begin(table)?;
+        for &o in &offsets {
+            self.write(&o.to_le_bytes())?;
+        }
+        self.end(table);
+        self.seek(end)?;
+        Ok(offsets)
+    }
+
+    /// Writes the directory and header, sets the file to its exact length,
+    /// fsyncs and renames `partial` onto `out`. The result is
+    /// byte-identical to `write_atomic(out, &encode(graph))` for the
+    /// equivalent graph.
+    fn commit(mut self, counts: Counts, partial: &Path, out: &Path) -> io::Result<()> {
+        let interner_len = self.extents[Section::Interner.index()].1;
+        let lay = layout::layout(counts, interner_len);
+        // The sections were placed as they came; the header must describe
+        // exactly that file.
+        for s in SECTIONS {
+            let e = lay.extents[s.index()];
+            assert_eq!((e.offset, e.len), self.extents[s.index()], "{}", s.name());
+        }
+        let mut head = Vec::with_capacity(layout::HEADER_LEN + layout::DIR_LEN);
+        head.extend_from_slice(scpm_graph::snapshot::MAGIC);
+        head.extend_from_slice(&scpm_graph::snapshot::VERSION.to_le_bytes());
+        head.extend_from_slice(&(SECTION_COUNT as u32).to_le_bytes());
+        head.extend_from_slice(&counts.n.to_le_bytes());
+        head.extend_from_slice(&counts.m.to_le_bytes());
+        head.extend_from_slice(&counts.a.to_le_bytes());
+        head.extend_from_slice(&counts.pairs.to_le_bytes());
+        head.extend_from_slice(&lay.total_len.to_le_bytes());
+        head.extend_from_slice(&0u64.to_le_bytes()); // header checksum slot
+        debug_assert_eq!(head.len(), DIR_OFFSET);
+        for s in SECTIONS {
+            let e = lay.extents[s.index()];
+            head.extend_from_slice(&(s as u32).to_le_bytes());
+            head.extend_from_slice(&0u32.to_le_bytes());
+            head.extend_from_slice(&e.offset.to_le_bytes());
+            head.extend_from_slice(&e.len.to_le_bytes());
+            head.extend_from_slice(&self.sums[s.index()].to_le_bytes());
+        }
+        let mut h = Fnv1a64::new();
+        h.update(&head[..layout::HEADER_CHECKSUM_OFFSET]);
+        h.update(&head[DIR_OFFSET..]);
+        let sum = h.finish();
+        head[layout::HEADER_CHECKSUM_OFFSET..DIR_OFFSET].copy_from_slice(&sum.to_le_bytes());
+
+        self.seek(0)?;
+        self.f.write_all(&head)?;
+        let f = self.f.into_inner().map_err(|e| e.into_error())?;
+        // An empty last section can end in a skipped alignment gap.
+        f.set_len(lay.total_len)?;
+        f.sync_all()?;
+        drop(f);
+        std::fs::rename(partial, out)?;
+        if let Some(parent) = out.parent() {
+            if let Ok(dir) = File::open(parent) {
+                dir.sync_all().ok();
+            }
+        }
+        Ok(())
     }
 }
 
@@ -730,11 +929,10 @@ mod tests {
 
         assert_paths_identical(&ref_snap, &ext_snap);
         assert_eq!(report.to_string(), reference.report.to_string());
-        assert!(!ext_snap
-            .parent()
-            .unwrap()
-            .join("external.snap.oocore-tmp")
-            .exists());
+        assert_eq!(report.parse, reference.report.parse);
+        for left in ["external.snap.oocore-tmp", "external.snap.tmp"] {
+            assert!(!dir.join(left).exists(), "{left} left behind");
+        }
     }
 
     #[test]
@@ -763,8 +961,8 @@ mod tests {
 
     #[test]
     fn degenerate_budget_still_byte_identical() {
-        // A budget far below MIN_BUFFER_RECORDS*8: everything spills at the
-        // floor capacity, exercising multi-run merges on a bigger source.
+        // A budget far below MIN_BLOCK_RECORDS * 4: the block sits at its
+        // floor capacity, so the edge stream is partitioned by key range.
         let dir = workdir("degenerate");
         let mut edges = String::new();
         let mut attrs = String::new();
@@ -918,6 +1116,204 @@ mod tests {
         assert_eq!(mapped.num_vertices(), 4);
         assert_eq!(mapped.num_edges(), 4);
         assert_eq!(mapped.neighbors(0).unwrap(), &[1, 3]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Writes a generated source: `edges` pseudo-random edge lines over
+    /// `vertices` vertices (named by `name`), a hub whose edge lines reach
+    /// every vertex and repeat with duplicates past the block floor, and
+    /// three attributes per vertex, one of them shared by all and listed
+    /// twice on every tenth vertex.
+    fn hub_source(vertices: u32, edges: u32, name: impl Fn(u32) -> String) -> (String, String) {
+        let mut text = String::new();
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..edges {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let (u, v) = (
+                (state % vertices as u64) as u32,
+                ((state >> 32) % vertices as u64) as u32,
+            );
+            text.push_str(&format!("{} {}\n", name(u), name(v)));
+        }
+        let hub = vertices / 2;
+        for k in 0..(vertices + MIN_BLOCK_RECORDS as u32) {
+            text.push_str(&format!("{} {}\n", name(hub), name(k * 13 % vertices)));
+        }
+        let mut attrs = String::new();
+        for v in 0..vertices {
+            let twice = if v % 10 == 0 { " common" } else { "" };
+            attrs.push_str(&format!(
+                "{} common t{} g{}{twice}\n",
+                name(v),
+                v % 7,
+                v % 97
+            ));
+        }
+        (text, attrs)
+    }
+
+    /// All three streams span several blocks at the 4096-record floor, the
+    /// hub's edge key and the shared attribute's key each hold more raw
+    /// records than a block (the hub also more unique values), and every
+    /// budget still reproduces the in-memory snapshot and report exactly,
+    /// for numeric ids with gaps and for interned string ids.
+    #[test]
+    fn multi_block_and_oversize_keys_byte_identical() {
+        let sources = [
+            (
+                "numeric-gaps",
+                hub_source(5000, 20_000, |v| (2 * v + 1).to_string()),
+            ),
+            ("interned", hub_source(5000, 20_000, |v| format!("v{v}"))),
+        ];
+        for (name, (edges, attrs)) in sources {
+            for budget in [
+                1,
+                64 << 10,
+                4 << 20,
+                ExternalOptions::default().memory_budget,
+            ] {
+                let dir = workdir(&format!("multi-block-{name}-{budget}"));
+                roundtrip(&dir, &edges, &attrs, budget);
+                std::fs::remove_dir_all(&dir).ok();
+            }
+        }
+    }
+
+    /// Groups a generated record file through a block far smaller than
+    /// the floor the ingest allows: partitions nest several levels deep,
+    /// some keys exceed the block in raw and in unique records, and the
+    /// emitted section still equals a sorted, deduplicated grouping, with
+    /// no partition file left behind.
+    #[test]
+    fn nested_partitions_group_exactly() {
+        let dir = workdir("nested-partitions");
+        let (keys, universe) = (700usize, 300usize);
+        let mut want = vec![std::collections::BTreeSet::new(); keys];
+        let mut counts = vec![0u64; keys];
+        let part = dir.join("records");
+        let mut w = RecordWriter::create(&part, 4096).unwrap();
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        for i in 0..20_000u64 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            // Every fifth record goes to one of two hub keys.
+            let k = if i % 5 == 0 {
+                17 + 600 * (i % 2) as usize
+            } else {
+                (state % keys as u64) as usize
+            };
+            let v = ((state >> 32) % universe as u64) as u32;
+            w.push((k as u32, v)).unwrap();
+            counts[k] += 1;
+            want[k].insert(v);
+        }
+        w.finish().unwrap();
+
+        for cap in [1, 5, 64, 1000] {
+            let snap_path = dir.join("grouped.snap");
+            let mut snap = SnapshotFile::create(&snap_path).unwrap();
+            let mut blocks = Blocks::new(&dir, cap);
+            let copy = dir.join("feed");
+            std::fs::copy(&part, &copy).unwrap();
+            let offsets = snap
+                .grouped(
+                    Section::CsrOffsets,
+                    &mut blocks,
+                    &Feed::Part(copy),
+                    counts.clone(),
+                    universe,
+                )
+                .unwrap();
+            drop(snap);
+            let bytes = std::fs::read(&snap_path).unwrap();
+            let (at, _) = {
+                let e = layout::layout(
+                    Counts {
+                        n: keys as u64,
+                        m: 0,
+                        a: 0,
+                        pairs: 0,
+                    },
+                    0,
+                )
+                .extents[Section::CsrEdges.index()];
+                (e.offset as usize, e.len)
+            };
+            let values: Vec<u32> = bytes[at..]
+                .chunks_exact(4)
+                .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
+                .collect();
+            for (k, set) in want.iter().enumerate() {
+                let got = &values[offsets[k] as usize..offsets[k + 1] as usize];
+                assert!(got.iter().eq(set.iter()), "cap {cap}: key {k}");
+            }
+            assert_eq!(offsets[keys] as usize, values.len(), "cap {cap}");
+            if cap <= 64 {
+                assert!(
+                    blocks.parts > MAX_FANIN,
+                    "cap {cap}: partitions did not nest"
+                );
+            }
+            let mut left: Vec<_> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().into_string().unwrap())
+                .collect();
+            left.sort();
+            assert_eq!(left, ["grouped.snap", "records"], "cap {cap}");
+            std::fs::remove_file(&snap_path).unwrap();
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A `temp_dir` on another filesystem than `out` must work: the logs
+    /// live there, but the snapshot is written and renamed within `out`'s
+    /// own directory. Skips itself where no two filesystems are at hand.
+    #[test]
+    fn temp_dir_on_another_filesystem() {
+        use std::os::unix::fs::MetadataExt;
+        let dir = workdir("cross-device");
+        let shm = Path::new("/dev/shm");
+        let dev = |p: &Path| std::fs::metadata(p).map(|m| m.dev()).ok();
+        if dev(shm).is_none() || dev(shm) == dev(&dir) {
+            eprintln!(
+                "skipped: {} and {} share a device",
+                shm.display(),
+                dir.display()
+            );
+            return;
+        }
+        let temp = shm.join(format!("scpm_external_ingest_{}", std::process::id()));
+        std::fs::create_dir_all(&temp).unwrap();
+        let edges = dir.join("g.txt");
+        std::fs::write(&edges, "0 1\n1 2\n2 0\n2 3\n").unwrap();
+        let attrs = dir.join("g.attrs");
+        std::fs::write(&attrs, "0 db\n3 db ml\n").unwrap();
+        let opts = IngestOptions::default();
+        let out = dir.join("g.snap");
+        let result = ingest_files_external(
+            SourceFormat::EdgeList,
+            &edges,
+            Some(&attrs),
+            &opts,
+            &ExternalOptions {
+                memory_budget: 1,
+                temp_dir: Some(temp.clone()),
+            },
+            &out,
+        );
+        let left: Vec<_> = std::fs::read_dir(&temp).unwrap().collect();
+        std::fs::remove_dir_all(&temp).ok();
+        result.unwrap();
+        assert!(left.is_empty(), "{left:?} left in temp_dir");
+        let reference = ingest_files(SourceFormat::EdgeList, &edges, Some(&attrs), &opts).unwrap();
+        let ref_snap = dir.join("reference.snap");
+        scpm_graph::snapshot::save_snapshot(&reference.graph, &ref_snap).unwrap();
+        assert_paths_identical(&ref_snap, &out);
+        assert!(!dir.join("g.snap.tmp").exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

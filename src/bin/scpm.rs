@@ -351,8 +351,8 @@ fn parse_bytes(text: &str) -> Result<usize, String> {
 fn ingest(flags: &Flags) -> Result<(), String> {
     let out = flags.required("out")?;
     // A memory budget routes through the bounded-memory external pass,
-    // which writes the snapshot itself (spill/merge, byte-identical to
-    // the in-memory path — see crates/datasets/src/external.rs).
+    // which writes the snapshot itself (counting scatter, byte-identical
+    // to the in-memory path — see crates/datasets/src/external.rs).
     if let Some(budget) = flags.str("memory-budget") {
         let budget = parse_bytes(budget)?;
         let structure = Path::new(flags.required("edges")?);
