@@ -52,8 +52,9 @@ fn engine_flag_variants() -> Vec<(&'static str, PruneFlags)> {
                 ..all
             },
         ),
-        // `diameter2` switches both the seed's two-hop candidate
-        // restriction and the global two-hop core peel before the search.
+        // `diameter2` switches the seed's two-hop candidate restriction,
+        // the global two-hop core peel before the search and coverage
+        // ball by ball.
         (
             "no_diameter2",
             PruneFlags {

@@ -9,7 +9,7 @@
 //! every length and count behind it:
 //!
 //! ```text
-//! "SCPMMEMO" u32 version=4
+//! "SCPMMEMO" u32 version=5
 //! u64 params_fingerprint        fingerprint(ScpmParams), see below
 //! u64 graph_fingerprint         fnv1a64(snapshot::encode(graph))
 //! u64 entries                   then entries × record, keys ascending
@@ -47,6 +47,11 @@
 //! `diameter2` now also switches: the search walks a smaller graph, so a
 //! v3 record's coverage and top-k counters are stale, and a v3 memo is
 //! refused too.
+//!
+//! Version 5 keeps the layout and the fingerprint as well. It marks
+//! coverage ball by ball (part of `diameter2`): each vertex the witnesses
+//! leave open is decided by a search of its own two-hop ball, so a v4
+//! record's coverage counters are stale and a v4 memo is refused.
 
 use std::collections::HashMap;
 
@@ -61,7 +66,7 @@ use crate::params::ScpmParams;
 const MAGIC: &[u8; 8] = b"SCPMMEMO";
 
 /// Current memo file format version.
-pub const VERSION: u32 = 4;
+pub const VERSION: u32 = 5;
 
 /// Number of `u64` counters a [`SearchStats`] serializes to (every field
 /// but the always-0 `blocks_skipped`).
@@ -571,6 +576,14 @@ mod tests {
         // v3 records carry search counters from before the two-hop peel.
         let bytes = memo_with_version(3);
         assert_eq!(decode_memo(&bytes).unwrap_err(), MemoError::BadVersion(3));
+    }
+
+    #[test]
+    fn version_4_memo_is_rejected() {
+        // v4 records carry coverage counters from before coverage ball by
+        // ball.
+        let bytes = memo_with_version(4);
+        assert_eq!(decode_memo(&bytes).unwrap_err(), MemoError::BadVersion(4));
     }
 
     #[test]

@@ -809,6 +809,13 @@ mod tests {
     }
 
     #[test]
+    fn version_4_memo_degrades_to_recording_mine() {
+        // A memo written before coverage ball by ball carries coverage
+        // counters a fresh mine no longer produces; it must not replay.
+        stale_memo_degrades_to_recording_mine("v4memo", 4);
+    }
+
+    #[test]
     fn changed_params_refuse_the_memo() {
         let dir = tdir("badparams");
         let (_graph, _params, _writer) = seed(&dir);

@@ -29,7 +29,8 @@
 //! assert_eq!(src.vertices.name(0), "0");
 //! ```
 
-use std::collections::HashMap;
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 
 use super::{syntax, ParseError};
@@ -50,10 +51,17 @@ use crate::csr::CsrGraph;
 /// assert_eq!(it.name(1), "bob");
 /// assert!(!it.all_numeric());
 /// ```
+///
+/// Each distinct token costs one allocation, its entry in the name list.
+/// The lookup table holds ids, not keys: an open-addressing table of
+/// `id + 1` (0 marks an empty slot), probed linearly from the token's hash
+/// under std's randomly keyed hasher (input tokens are untrusted, so their
+/// hashes must not be predictable), and kept at most half full.
 #[derive(Clone, Debug)]
 pub struct Interner {
     names: Vec<String>,
-    index: HashMap<String, u32>,
+    slots: Vec<u32>,
+    hasher: RandomState,
     all_numeric: bool,
     max_numeric: u32,
 }
@@ -83,7 +91,8 @@ impl Interner {
     pub fn new() -> Self {
         Interner {
             names: Vec::new(),
-            index: HashMap::new(),
+            slots: Vec::new(),
+            hasher: RandomState::new(),
             all_numeric: true,
             max_numeric: 0,
         }
@@ -91,22 +100,56 @@ impl Interner {
 
     /// Interns `token`, returning its dense id (existing or fresh).
     pub fn intern(&mut self, token: &str) -> u32 {
-        if let Some(&id) = self.index.get(token) {
-            return id;
+        if 2 * (self.names.len() + 1) > self.slots.len() {
+            self.grow();
         }
+        let slot = match self.probe(token) {
+            Ok(id) => return id,
+            Err(slot) => slot,
+        };
         let id = self.names.len() as u32;
         match canonical_numeric(token) {
             Some(v) => self.max_numeric = self.max_numeric.max(v),
             None => self.all_numeric = false,
         }
         self.names.push(token.to_string());
-        self.index.insert(token.to_string(), id);
+        self.slots[slot] = id + 1;
         id
     }
 
     /// The id of `token`, if already interned.
     pub fn get(&self, token: &str) -> Option<u32> {
-        self.index.get(token).copied()
+        if self.slots.is_empty() {
+            return None;
+        }
+        self.probe(token).ok()
+    }
+
+    /// `Ok(id)` of `token`, or `Err(slot)`: the empty slot where it would
+    /// go. The table must have an empty slot.
+    fn probe(&self, token: &str) -> Result<u32, usize> {
+        let mask = self.slots.len() - 1;
+        let mut slot = self.hasher.hash_one(token) as usize & mask;
+        loop {
+            match self.slots[slot] {
+                0 => return Err(slot),
+                s if self.names[s as usize - 1] == token => return Ok(s - 1),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    /// Doubles the table (16 slots at first) and re-inserts every id.
+    fn grow(&mut self) {
+        let len = (2 * self.slots.len()).max(16);
+        self.slots.clear();
+        self.slots.resize(len, 0);
+        for id in 0..self.names.len() as u32 {
+            let Err(slot) = self.probe(&self.names[id as usize]) else {
+                unreachable!("interned tokens are distinct");
+            };
+            self.slots[slot] = id + 1;
+        }
     }
 
     /// The token behind id `i`.

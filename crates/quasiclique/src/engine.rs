@@ -32,10 +32,15 @@
 //!   skipped,
 //! * lookahead: if `X ∪ cands` is itself a quasi-clique the subtree
 //!   collapses to a single emission,
-//! * diameter-2 rule for `γ ≥ 0.5`, twice: before the search a two-hop
-//!   core peel drops every vertex outside a `z`-core of its own two-hop
-//!   ball ([`crate::reduce`]), and each seed's candidates are restricted
-//!   to its two-hop neighbourhood,
+//! * diameter-2 rule for `γ ≥ 0.5`, three times: before the search a
+//!   two-hop core peel drops every vertex outside a `z`-core of its own
+//!   two-hop ball ([`crate::reduce`]); each seed's candidates are
+//!   restricted to its two-hop neighbourhood; and coverage runs ball by
+//!   ball: after the witnesses, each vertex `v` still uncovered is decided
+//!   by a search of its closed two-hop ball `N₂[v]` alone — every
+//!   quasi-clique holding `v` lies in that ball — with the ball's own
+//!   `z`-core, two-hop peel and witnesses, and every vertex the ball
+//!   covers is marked,
 //! * greedy witnesses (coverage mode): before the search, greedily peeled
 //!   quasi-cliques pre-cover part of `K` ([`crate::witness`]),
 //! * covered-candidate subtree pruning (coverage mode),
@@ -85,8 +90,11 @@ pub struct PruneFlags {
     /// Subtree pruning once all of `X ∪ cands` is covered (coverage mode).
     pub covered_candidate: bool,
     /// The diameter-2 rule (γ ≥ 0.5): the two-hop core peel before the
-    /// search ([`crate::reduce`]) and the candidate restriction to each
-    /// seed's two-hop neighborhood.
+    /// search ([`crate::reduce`]), the candidate restriction to each
+    /// seed's two-hop neighborhood, and, in coverage mode, coverage ball by
+    /// ball: each vertex left uncovered by the witnesses is decided by a
+    /// search of its closed two-hop ball alone instead of one search over
+    /// the whole reduced graph.
     pub diameter2: bool,
     /// Greedy witness pass before the search (coverage mode): vertices of
     /// greedily peeled quasi-cliques start out covered, so the
@@ -261,13 +269,14 @@ pub struct Miner<'g> {
 /// Holds every buffer a search needs: the per-vertex stamps, packed sets
 /// and index maps sized by the (reduced) input graph, the work list, the
 /// per-node temporaries (exdeg arrays, filter and cover partitions), a
-/// free list of search-node buffers, and the buffers of the witness pass
-/// and the two-hop core peel. A caller running many searches — the SCPM
+/// free list of search-node buffers, the buffers of the witness pass and
+/// the two-hop core peel, and the covered marks and ball buffers of
+/// coverage ball by ball. A caller running many searches — the SCPM
 /// drivers evaluate one induced subgraph per attribute set — can allocate
 /// one `EngineScratch` and pass it to [`Miner::run_with`]; buffers are then
 /// reused, not reallocated, between nodes and between runs, so a warm
-/// search allocates only per run (the reduced graph and the results),
-/// never per node. [`Miner::run`] creates a throwaway scratch, so
+/// search allocates only per run and per ball (the reduced graphs and the
+/// results), never per node. [`Miner::run`] creates a throwaway scratch, so
 /// single-shot callers never see this type.
 #[derive(Debug, Default)]
 pub struct EngineScratch {
@@ -332,6 +341,11 @@ pub struct EngineScratch {
     deficient: Vec<VertexId>,
     /// Sizes of the buffered top-k sets, sorted descending.
     topk_sizes: Vec<usize>,
+    /// Coverage ball by ball: the covered marks over the whole reduced
+    /// graph, the buffers that collect each ball's `z`-core, and that core.
+    ball_covered: Vec<bool>,
+    ball_peel: PeelScratch,
+    ball: Vec<VertexId>,
 }
 
 /// Capacity classes of the [`EngineScratch`] free lists: class `c` holds
@@ -558,56 +572,22 @@ impl<'g> Miner<'g> {
         if let MiningMode::TopK(0) = mode {
             return MiningOutcome::empty(stats);
         }
-        // Global vertex reduction, then re-extraction so the search works
-        // on a compact graph whose every vertex could be in a quasi-clique.
-        let survivors = reduce_vertices(self.input, &self.cfg);
-        if survivors.len() < self.cfg.min_size {
+        let Some(sub) = self.reduce(self.input, scratch) else {
             return MiningOutcome::empty(stats);
-        }
-        let mut sub = InducedSubgraph::extract_with(self.input, &survivors, &mut scratch.ranks);
-        // Diameter-2 rule, globally: drop the vertices outside every
-        // two-hop core (inert for γ < 0.5, like the seed restriction).
-        if self.prune.diameter2 && two_hop_peel(&sub.graph, &self.cfg, &mut scratch.peel) > 0 {
-            sub = sub.project_with(&scratch.peel.keep, &mut scratch.ranks);
-            if sub.num_vertices() < self.cfg.min_size {
-                return MiningOutcome::empty(stats);
-            }
-        }
-        let n = sub.graph.num_vertices();
-        scratch.reset(n);
-        // Pack the reduced subgraph's adjacency once for the whole search;
-        // oversized graphs fall back to the slice kernels (identical
-        // results, see `BITADJ_MAX_VERTICES`).
-        let bits_on = self.repr != Representation::Slice && n <= BITADJ_MAX_VERTICES;
-        if bits_on {
-            scratch.adj.rebuild(&sub.graph);
-            // One pass packs the rows, a second lists each row's nonzero
-            // words (reused by every gathered kernel of the search).
-            stats.kernel_ops += (2 * n * scratch.adj.stride()) as u64;
-        } else {
-            scratch.adj.clear();
-        }
-        let witnessed = if mode == MiningMode::Coverage && self.prune.witnesses {
-            witness::cover(
-                &sub.graph,
-                &self.cfg,
-                &mut scratch.witness,
-                &mut scratch.covered,
-            )
-        } else {
-            0
         };
-        let mut ctx = Ctx::new(
-            &sub.graph, self.cfg, self.prune, self.order, mode, bits_on, scratch,
-        );
-        ctx.remaining -= witnessed;
-        ctx.search(&mut stats);
-        let Ctx { emitted, .. } = ctx;
-
+        let n = sub.num_vertices();
         match mode {
             MiningMode::Coverage => {
-                let covered_globals: Vec<VertexId> = scratch
-                    .covered
+                let covered = if self.prune.diameter2 && self.cfg.gamma >= 0.5 {
+                    self.cover_by_balls(&sub.graph, scratch, &mut stats);
+                    &scratch.ball_covered
+                } else {
+                    scratch.reset(n);
+                    self.witness(&sub.graph, scratch);
+                    self.search(&sub.graph, mode, scratch, &mut stats);
+                    &scratch.covered
+                };
+                let covered_globals: Vec<VertexId> = covered
                     .iter()
                     .enumerate()
                     .filter(|(_, &c)| c)
@@ -619,20 +599,15 @@ impl<'g> Miner<'g> {
                     stats,
                 }
             }
-            MiningMode::EnumerateMaximal => {
-                let maximal = containment_filter(emitted, n, &mut stats);
-                let cliques = self.score(&sub, maximal);
-                MiningOutcome {
-                    cliques,
-                    covered: Vec::new(),
-                    stats,
-                }
-            }
-            MiningMode::TopK(k) => {
+            MiningMode::EnumerateMaximal | MiningMode::TopK(_) => {
+                scratch.reset(n);
+                let emitted = self.search(&sub.graph, mode, scratch, &mut stats);
                 let maximal = containment_filter(emitted, n, &mut stats);
                 let mut cliques = self.score(&sub, maximal);
-                cliques.sort_by(pattern_order);
-                cliques.truncate(k);
+                if let MiningMode::TopK(k) = mode {
+                    cliques.sort_by(pattern_order);
+                    cliques.truncate(k);
+                }
                 MiningOutcome {
                     cliques,
                     covered: Vec::new(),
@@ -640,6 +615,144 @@ impl<'g> Miner<'g> {
                 }
             }
         }
+    }
+
+    /// The `z`-core of `input` and, under the diameter-2 rule, its two-hop
+    /// core (inert for γ < 0.5), re-extracted so the search works on a
+    /// compact graph whose every vertex could be in a quasi-clique. `None`
+    /// when fewer than `min_size` vertices survive.
+    fn reduce(&self, input: &CsrGraph, scratch: &mut EngineScratch) -> Option<InducedSubgraph> {
+        let survivors = reduce_vertices(input, &self.cfg);
+        self.reduce_core(input, &survivors, scratch)
+    }
+
+    /// [`Miner::reduce`] once the `z`-core is known: `core` is a sorted
+    /// vertex set of `input` whose induced subgraph is a `z`-core.
+    fn reduce_core(
+        &self,
+        input: &CsrGraph,
+        core: &[VertexId],
+        scratch: &mut EngineScratch,
+    ) -> Option<InducedSubgraph> {
+        if core.len() < self.cfg.min_size {
+            return None;
+        }
+        let sub = InducedSubgraph::extract_with(input, core, &mut scratch.ranks);
+        if !self.prune.diameter2 || two_hop_peel(&sub.graph, &self.cfg, &mut scratch.peel) == 0 {
+            return Some(sub);
+        }
+        let sub = sub.project_with(&scratch.peel.keep, &mut scratch.ranks);
+        (sub.num_vertices() >= self.cfg.min_size).then_some(sub)
+    }
+
+    /// Coverage ball by ball over the reduced graph `g` (the diameter-2
+    /// rule, γ ≥ 0.5): the witnesses cover what they can, then each vertex
+    /// `v` still uncovered, in id order, gets one coverage search of its
+    /// closed two-hop ball `G[N₂[v]]` — reduced on its own, with the marks
+    /// of earlier balls carried in — and every vertex that search covers
+    /// is marked. Exact: a γ-quasi-clique with γ ≥ 0.5 has diameter ≤ 2,
+    /// so every one that holds `v` lies in `N₂[v]`, and a quasi-clique of
+    /// an induced subgraph is one of `g`. Once its ball is searched, `v`
+    /// leaves every later ball: each quasi-clique holding `v` lies in the
+    /// ball and has been marked, so no vertex still open needs `v`. Leaves
+    /// `K` in `scratch.ball_covered`.
+    fn cover_by_balls(&self, g: &CsrGraph, scratch: &mut EngineScratch, stats: &mut SearchStats) {
+        let n = g.num_vertices();
+        let mut covered = std::mem::take(&mut scratch.ball_covered);
+        covered.clear();
+        covered.resize(n, false);
+        if self.prune.witnesses {
+            witness::cover(g, &self.cfg, &mut scratch.witness, &mut covered);
+        }
+        let mut ball = std::mem::take(&mut scratch.ball);
+        scratch.ball_peel.begin_balls(g, &self.cfg);
+        let mut live = n;
+        for v in 0..n as VertexId {
+            if covered[v as usize] {
+                continue;
+            }
+            // `v` must survive the ball's own reduction, or no quasi-clique
+            // holds it.
+            if scratch.ball_peel.ball_core(g, &self.cfg, v, &mut ball) {
+                // A core that holds every live vertex makes this ball's
+                // search the whole-graph search: its marks complete `K`
+                // (every quasi-clique holding a dropped vertex is marked
+                // already), and the loop ends with it.
+                let whole = ball.len() == live;
+                if whole && live == n {
+                    // The core is `g` itself, already reduced and witnessed:
+                    // search it in place.
+                    scratch.reset(n);
+                    scratch.covered.copy_from_slice(&covered);
+                    self.search(g, MiningMode::Coverage, scratch, stats);
+                    covered.copy_from_slice(&scratch.covered);
+                    break;
+                }
+                if let Some(sub) = self
+                    .reduce_core(g, &ball, scratch)
+                    .filter(|sub| sub.to_local(v).is_some())
+                {
+                    scratch.reset(sub.num_vertices());
+                    for (mark, &u) in scratch.covered.iter_mut().zip(&sub.original) {
+                        *mark = covered[u as usize];
+                    }
+                    self.witness(&sub.graph, scratch);
+                    self.search(&sub.graph, MiningMode::Coverage, scratch, stats);
+                    for (&mark, &u) in scratch.covered.iter().zip(&sub.original) {
+                        covered[u as usize] |= mark;
+                    }
+                    if whole {
+                        break;
+                    }
+                }
+            }
+            // Every quasi-clique holding `v` lies in its ball, and the
+            // search has marked all their vertices, so a vertex still
+            // uncovered is in none of them: later balls leave `v` out.
+            scratch.ball_peel.drop_vertex(v);
+            live -= 1;
+        }
+        scratch.ball = ball;
+        scratch.ball_covered = covered;
+    }
+
+    /// The greedy witness pass over `g` (coverage mode, with the witnesses
+    /// switched on): marks the vertices of greedily peeled quasi-cliques in
+    /// `scratch.covered`, which must be sized for `g`.
+    fn witness(&self, g: &CsrGraph, scratch: &mut EngineScratch) {
+        if self.prune.witnesses {
+            witness::cover(g, &self.cfg, &mut scratch.witness, &mut scratch.covered);
+        }
+    }
+
+    /// One search over the reduced graph `g`, on a scratch already `reset`
+    /// for it: packs the adjacency and walks the candidate tree. Coverage
+    /// marks land in `scratch.covered`, and may be set on entry (vertices
+    /// known to be covered, by the witnesses or earlier balls); the emitted
+    /// sets (maximal and top-k modes) are returned.
+    fn search(
+        &self,
+        g: &CsrGraph,
+        mode: MiningMode,
+        scratch: &mut EngineScratch,
+        stats: &mut SearchStats,
+    ) -> Vec<Vec<VertexId>> {
+        let n = g.num_vertices();
+        // Pack the adjacency once for the whole search; oversized graphs
+        // fall back to the slice kernels (identical results, see
+        // `BITADJ_MAX_VERTICES`).
+        let bits_on = self.repr != Representation::Slice && n <= BITADJ_MAX_VERTICES;
+        if bits_on {
+            scratch.adj.rebuild(g);
+            // One pass packs the rows, a second lists each row's nonzero
+            // words (reused by every gathered kernel of the search).
+            stats.kernel_ops += (2 * n * scratch.adj.stride()) as u64;
+        } else {
+            scratch.adj.clear();
+        }
+        let mut ctx = Ctx::new(g, self.cfg, self.prune, self.order, mode, bits_on, scratch);
+        ctx.search(stats);
+        ctx.emitted
     }
 
     /// Maps local sets back to input ids and computes their densities.
@@ -736,7 +849,8 @@ struct Ctx<'a> {
     s: &'a mut EngineScratch,
     /// Emitted local sets, each sorted (maximal / top-k modes).
     emitted: Vec<Vec<VertexId>>,
-    /// Vertices not yet covered (coverage early exit).
+    /// Vertices not yet covered (coverage early exit); the scratch may
+    /// come with some already covered.
     remaining: usize,
     /// Current size bound for top-k (size of the k-th best so far).
     topk_bound: usize,
@@ -797,7 +911,7 @@ impl<'a> Ctx<'a> {
         bits_on: bool,
         scratch: &'a mut EngineScratch,
     ) -> Self {
-        let n = g.num_vertices();
+        let remaining = scratch.covered.iter().filter(|&&c| !c).count();
         Ctx {
             g,
             cfg,
@@ -807,7 +921,7 @@ impl<'a> Ctx<'a> {
             bits_on,
             s: scratch,
             emitted: Vec::new(),
-            remaining: n,
+            remaining,
             topk_bound: 0,
         }
     }
@@ -2333,6 +2447,52 @@ mod tests {
             }
         }
         graph_from_edges(n as usize, edges)
+    }
+
+    #[test]
+    fn coverage_balls_are_inert_below_one_half() {
+        // Below γ = 0.5 a quasi-clique may be wider than two hops, so the
+        // coverage search stays whole-graph: the diameter-2 rule, ball by
+        // ball included, changes neither the cover nor a single counter.
+        // At γ = 0.5 it takes over and visits fewer nodes for the same
+        // cover.
+        let g = planted(48, 4, 12);
+        for gamma in [0.3, 0.4, 0.49] {
+            let cfg = QcConfig::new(gamma, 5);
+            for order in [SearchOrder::Dfs, SearchOrder::Bfs] {
+                for repr in [Representation::Slice, Representation::Bitset] {
+                    let run = |diameter2| {
+                        Miner::new(&g, cfg)
+                            .with_order(order)
+                            .with_repr(repr)
+                            .with_prune(PruneFlags {
+                                diameter2,
+                                ..PruneFlags::default()
+                            })
+                            .coverage()
+                    };
+                    let (on, off) = (run(true), run(false));
+                    assert!(!on.covered.is_empty(), "γ {gamma}: nothing to cover");
+                    assert_eq!(on.covered, off.covered, "γ {gamma} {order:?} {repr:?}");
+                    assert_eq!(on.stats, off.stats, "γ {gamma} {order:?} {repr:?}");
+                }
+            }
+        }
+        let cfg = QcConfig::new(0.5, 5);
+        let on = Miner::new(&g, cfg).coverage();
+        let off = Miner::new(&g, cfg)
+            .with_prune(PruneFlags {
+                diameter2: false,
+                ..PruneFlags::default()
+            })
+            .coverage();
+        assert_eq!(on.covered, off.covered);
+        assert!(
+            on.stats.nodes_visited < off.stats.nodes_visited,
+            "{} !< {}",
+            on.stats.nodes_visited,
+            off.stats.nodes_visited
+        );
     }
 
     #[test]

@@ -159,6 +159,50 @@ fn run(
 }
 
 impl PeelScratch {
+    /// Readies the buffers for [`PeelScratch::ball_core`] over `g`, every
+    /// vertex alive. `g` must be a `z`-core (every graph the engine
+    /// searches is one).
+    pub(crate) fn begin_balls(&mut self, g: &CsrGraph, cfg: &QcConfig) {
+        let n = g.num_vertices();
+        debug_assert!((0..n as VertexId).all(|u| g.degree(u) >= cfg.min_required_degree()));
+        self.alive.clear();
+        self.alive.resize(n, true);
+        self.stamp.clear();
+        self.stamp.resize(n, 0);
+        self.gen = 0;
+        self.deg.resize(n, 0);
+    }
+
+    /// Leaves `v` out of every later ball.
+    pub(crate) fn drop_vertex(&mut self, v: VertexId) {
+        self.alive[v as usize] = false;
+    }
+
+    /// Puts the `z`-core of `G[N₂[v]]`, `v`'s closed two-hop ball in `g`,
+    /// into `core`, sorted, and returns `true`; returns `false` when `v`
+    /// is not in that core or it has fewer than `min_size` vertices, so no
+    /// quasi-clique of `g` holds `v`. Vertices dropped since
+    /// [`PeelScratch::begin_balls`] readied the buffers for `g` are left
+    /// out. `O(Σ_{u∈ball(v)} (1 + deg u))`, like one check of the two-hop
+    /// peel.
+    pub(crate) fn ball_core(
+        &mut self,
+        g: &CsrGraph,
+        cfg: &QcConfig,
+        v: VertexId,
+        core: &mut Vec<VertexId>,
+    ) -> bool {
+        let z = cfg.min_required_degree();
+        if !self.check(g, cfg.min_size, z, v, true, &mut 0) {
+            return false;
+        }
+        core.clear();
+        let (stamp, gen) = (&self.stamp, self.gen);
+        core.extend(self.ball.iter().filter(|&&u| stamp[u as usize] == gen));
+        core.sort_unstable();
+        true
+    }
+
     /// Whether `v` lies in a `z`-core of at least `min_size` vertices of
     /// its alive two-hop ball. Leaves the whole ball in `self.ball`. When
     /// `g` is a `z`-core, a ball that reaches every vertex (possible only

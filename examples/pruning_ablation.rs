@@ -31,7 +31,7 @@ fn run(
     let result = scpm.run();
     let s = result.stats;
     println!(
-        "{name:<26} sets={:<5} qualified={:<4} patterns={:<5} qc_nodes={:<9} elapsed={:?}",
+        "{name:<31} sets={:<5} qualified={:<4} patterns={:<5} qc_nodes={:<9} elapsed={:?}",
         s.attribute_sets_examined,
         s.attribute_sets_qualified,
         result.patterns.len(),
@@ -118,7 +118,7 @@ fn main() {
             },
         ),
         (
-            "no diameter-2 (seed+peel)",
+            "no diameter-2 (seed+peel+balls)",
             PruneFlags {
                 diameter2: false,
                 ..PruneFlags::default()
