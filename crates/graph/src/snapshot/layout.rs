@@ -164,6 +164,15 @@ pub struct Layout {
     pub total_len: u64,
 }
 
+impl Layout {
+    /// The payload bytes of section `s` within the whole file `data`.
+    #[inline]
+    pub(crate) fn payload<'a>(&self, data: &'a [u8], s: Section) -> &'a [u8] {
+        let e = self.extents[s.index()];
+        &data[e.offset as usize..(e.offset + e.len) as usize]
+    }
+}
+
 /// Payload length of each section given the header counts and the total
 /// interner byte length (`Σ (4 + name_len)`).
 pub fn section_lens(c: Counts, interner_len: u64) -> [u64; SECTION_COUNT] {
@@ -282,35 +291,31 @@ pub fn check_grouped_ids(
 }
 
 /// Verifies that the CSR edge section is symmetric: every directed entry
-/// `(v, u)` has its mirror `(u, v)`. Binary-searches the mirror list, so
-/// the cost is `O(E log d_max)` — paid once per open, on first touch.
+/// `(v, u)` has its mirror `(u, v)`. Walks the vertices in ascending order
+/// with one cursor per mirror list, as [`check_inverted_transpose`] does:
+/// the `v`s that look for themselves in `u`'s sorted list come in
+/// ascending order, so `u`'s cursor only moves forward, past entries below
+/// `v` (their own mirrors are checked when their row is walked). The cost
+/// is `O(n + E)`, paid once per open, on first touch. Assumes the offsets
+/// and the strictly sorted, in-range lists were checked first.
 pub fn check_edge_symmetry(edges: &[u8], offsets: &[u8], n: u64) -> Result<(), SnapshotError> {
+    let mut cursor: Vec<usize> = (0..n as usize)
+        .map(|u| u64_at(offsets, u * 8) as usize)
+        .collect();
     for v in 0..n as usize {
         let start = u64_at(offsets, v * 8) as usize;
         let end = u64_at(offsets, (v + 1) * 8) as usize;
         for slot in start..end {
             let u = u32_at(edges, slot * 4) as usize;
-            // Mirror list of u, binary-searched for v.
-            let (mut lo, mut hi) = (
-                u64_at(offsets, u * 8) as usize,
-                u64_at(offsets, (u + 1) * 8) as usize,
-            );
-            let mut found = false;
-            while lo < hi {
-                let mid = (lo + hi) / 2;
-                let w = u32_at(edges, mid * 4) as usize;
-                if w == v {
-                    found = true;
-                    break;
-                } else if w < v {
-                    lo = mid + 1;
-                } else {
-                    hi = mid;
-                }
+            let u_end = u64_at(offsets, (u + 1) * 8) as usize;
+            let mut c = cursor[u];
+            while c < u_end && (u32_at(edges, c * 4) as usize) < v {
+                c += 1;
             }
-            if !found {
+            if c == u_end || u32_at(edges, c * 4) as usize != v {
                 return Err(err_range("asymmetric edge", u as u64));
             }
+            cursor[u] = c + 1;
         }
     }
     Ok(())
@@ -355,33 +360,42 @@ pub fn check_inverted_transpose(
 
 /// Validates the interner section: exactly `a` length-prefixed names that
 /// consume the section exactly, each valid UTF-8 and pairwise distinct.
-/// Returns the byte range of each name within the section.
+/// Returns the byte range of each name within the section. The first error
+/// in id order wins, as if each name were checked against the ones before
+/// it.
 pub fn check_interner(bytes: &[u8], a: u64) -> Result<Vec<(usize, usize)>, SnapshotError> {
     let mut spans = Vec::with_capacity(a as usize);
-    let mut seen: std::collections::HashSet<&[u8]> =
-        std::collections::HashSet::with_capacity(a as usize);
     let mut at = 0usize;
-    for i in 0..a {
+    let mut parse_error = None;
+    for _ in 0..a {
         if at + 4 > bytes.len() {
-            return Err(SnapshotError::Truncated {
+            parse_error = Some(SnapshotError::Truncated {
                 reading: "attribute name length",
             });
+            break;
         }
         let len = u32_at(bytes, at) as usize;
         at += 4;
         if at + len > bytes.len() {
-            return Err(SnapshotError::Truncated {
+            parse_error = Some(SnapshotError::Truncated {
                 reading: "attribute name",
             });
+            break;
         }
-        let raw = &bytes[at..at + len];
-        std::str::from_utf8(raw).map_err(|_| SnapshotError::BadName)?;
-        // Duplicate names would collapse ids on re-intern; reject.
-        if !seen.insert(raw) {
-            return Err(err_range("duplicate attribute name", i));
+        if std::str::from_utf8(&bytes[at..at + len]).is_err() {
+            parse_error = Some(SnapshotError::BadName);
+            break;
         }
         spans.push((at, at + len));
         at += len;
+    }
+    // Duplicate names would collapse ids on re-intern; reject. A duplicate
+    // among the names parsed precedes the name that failed to parse.
+    if let Some(i) = first_duplicate(bytes, &spans) {
+        return Err(err_range("duplicate attribute name", i));
+    }
+    if let Some(e) = parse_error {
+        return Err(e);
     }
     if at != bytes.len() {
         return Err(SnapshotError::TrailingData {
@@ -389,6 +403,22 @@ pub fn check_interner(bytes: &[u8], a: u64) -> Result<Vec<(usize, usize)>, Snaps
         });
     }
     Ok(spans)
+}
+
+/// The smallest id whose name equals an earlier id's name. Sorts the ids by
+/// (name, id) and compares neighbours; names already in strictly ascending
+/// order, as in every canonical snapshot, cost one comparison pass.
+fn first_duplicate(bytes: &[u8], spans: &[(usize, usize)]) -> Option<u64> {
+    let name = |i: usize| &bytes[spans[i].0..spans[i].1];
+    if (1..spans.len()).all(|i| name(i - 1) < name(i)) {
+        return None;
+    }
+    let mut ids: Vec<usize> = (0..spans.len()).collect();
+    ids.sort_unstable_by(|&i, &j| name(i).cmp(name(j)).then(i.cmp(&j)));
+    ids.windows(2)
+        .filter(|w| name(w[0]) == name(w[1]))
+        .map(|w| w[1] as u64)
+        .min()
 }
 
 #[cfg(test)]
@@ -402,6 +432,51 @@ mod tests {
         assert_eq!(align_up(320), 320);
         assert_eq!(align_up(0), 0);
         assert_eq!(align_up(1), 64);
+    }
+
+    /// An interner section holding `names` in id order.
+    fn interner(names: &[&[u8]]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for name in names {
+            out.extend_from_slice(&(name.len() as u32).to_le_bytes());
+            out.extend_from_slice(name);
+        }
+        out
+    }
+
+    #[test]
+    fn interner_reports_the_first_error_in_id_order() {
+        let dup = |i| Err(err_range("duplicate attribute name", i));
+        let spans = check_interner(&interner(&[b"a", b"bb", b"c"]), 3).unwrap();
+        assert_eq!(spans, vec![(4, 5), (9, 11), (15, 16)]);
+        assert!(check_interner(&interner(&[b"c", b"a", b"b"]), 3).is_ok());
+        // Out of order, the smallest id that repeats an earlier name.
+        assert_eq!(
+            check_interner(&interner(&[b"b", b"c", b"a", b"c", b"b"]), 5),
+            dup(3)
+        );
+        assert_eq!(
+            check_interner(&interner(&[b"a", b"b", b"a", b"a"]), 4),
+            dup(2)
+        );
+        // A duplicate before a name that fails to parse wins; one after it
+        // is never reached.
+        assert_eq!(check_interner(&interner(&[b"x", b"x", b"\xff"]), 3), dup(1));
+        assert_eq!(
+            check_interner(&interner(&[b"x", b"\xff", b"x"]), 3),
+            Err(SnapshotError::BadName)
+        );
+        assert_eq!(check_interner(&interner(&[b"x", b"x"]), 3), dup(1));
+        assert_eq!(
+            check_interner(&interner(&[b"x"]), 2),
+            Err(SnapshotError::Truncated {
+                reading: "attribute name length"
+            })
+        );
+        assert_eq!(
+            check_interner(&interner(&[b"x", b"y"]), 1),
+            Err(SnapshotError::TrailingData { bytes: 5 })
+        );
     }
 
     #[test]

@@ -24,7 +24,10 @@ use std::path::Path;
 use std::sync::OnceLock;
 
 use super::layout::{self, Counts, Layout, Section, SECTIONS};
-use super::{check_v3_section, materialize_v3, parse_v3_header, DirEntry, SnapshotError};
+use super::{
+    check_v3_section, fnv1a64_lanes, materialize_v3, parse_v3_header, DirEntry, NameSpans,
+    SnapshotError,
+};
 use crate::attributed::AttributedGraph;
 use crate::csr::VertexId;
 
@@ -91,9 +94,9 @@ pub struct MappedSnapshot {
     dir: [DirEntry; layout::SECTION_COUNT],
     /// Lazy per-section validation results, fixed after first touch.
     checks: [OnceLock<Result<(), SnapshotError>>; layout::SECTION_COUNT],
-    /// Byte spans of each attribute name within the interner section,
-    /// built on first name lookup (after the interner validates).
-    name_spans: OnceLock<Vec<(usize, usize)>>,
+    /// Byte spans of each attribute name within the interner section, kept
+    /// from the interner's check when it passes.
+    name_spans: OnceLock<NameSpans>,
     /// Big-endian fallback: per-section converted vectors.
     #[cfg(not(target_endian = "little"))]
     be_u64: [OnceLock<Vec<u64>>; layout::SECTION_COUNT],
@@ -182,8 +185,7 @@ impl MappedSnapshot {
     }
 
     fn raw_section(&self, s: Section) -> &[u8] {
-        let e = self.lay.extents[s.index()];
-        &self.backing.bytes()[e.offset as usize..(e.offset + e.len) as usize]
+        self.lay.payload(self.backing.bytes(), s)
     }
 
     /// Dependencies a section's structural check assumes validated.
@@ -203,21 +205,45 @@ impl MappedSnapshot {
     /// Validates `s` (checksum + padding + structure) on first touch;
     /// later touches return the cached verdict.
     pub fn ensure(&self, s: Section) -> Result<(), SnapshotError> {
+        self.ensure_with(s, None)
+    }
+
+    /// [`Self::ensure`] with the payload's checksum already computed, if
+    /// it was.
+    fn ensure_with(&self, s: Section, checksum: Option<u64>) -> Result<(), SnapshotError> {
         for &d in Self::deps(s) {
             self.ensure(d)?;
         }
         self.checks[s.index()]
             .get_or_init(|| {
-                check_v3_section(self.backing.bytes(), self.counts, &self.lay, &self.dir, s)
+                let bytes = self.backing.bytes();
+                let spans =
+                    check_v3_section(bytes, self.counts, &self.lay, &self.dir, s, checksum)?;
+                if let Some(spans) = spans {
+                    let _ = self.name_spans.set(spans);
+                }
+                Ok(())
             })
             .clone()
     }
 
-    /// Validates every section (the eager escape hatch; `scpm stats` and
-    /// the differential tests use it to front-load all failures).
+    /// Validates every section (the eager escape hatch, for callers that
+    /// want every failure up front before reading). The sections not yet
+    /// checked are hashed together in one pass, then every section is
+    /// checked in file order, so the first error is the one lazy
+    /// [`Self::ensure`] calls in that order report.
     pub fn validate(&self) -> Result<(), SnapshotError> {
+        let todo: Vec<Section> = SECTIONS
+            .into_iter()
+            .filter(|s| self.checks[s.index()].get().is_none())
+            .collect();
+        let parts: Vec<&[u8]> = todo.iter().map(|&s| self.raw_section(s)).collect();
+        let mut checksums = [None; layout::SECTION_COUNT];
+        for (s, sum) in todo.into_iter().zip(fnv1a64_lanes(&parts)) {
+            checksums[s.index()] = Some(sum);
+        }
         for s in SECTIONS {
-            self.ensure(s)?;
+            self.ensure_with(s, checksums[s.index()])?;
         }
         Ok(())
     }
@@ -321,11 +347,7 @@ impl MappedSnapshot {
     pub fn attr_name(&self, a: u32) -> Result<&str, SnapshotError> {
         self.ensure(Section::Interner)?;
         let payload = self.raw_section(Section::Interner);
-        let spans = self.name_spans.get_or_init(|| {
-            layout::check_interner(payload, self.counts.a)
-                .expect("interner validated before span index")
-        });
-        let (s0, e0) = spans[a as usize];
+        let (s0, e0) = self.name_spans()[a as usize];
         Ok(std::str::from_utf8(&payload[s0..e0]).expect("interner validated as UTF-8"))
     }
 
@@ -334,7 +356,19 @@ impl MappedSnapshot {
     /// identical to [`super::decode`] on the same bytes.
     pub fn to_graph(&self) -> Result<AttributedGraph, SnapshotError> {
         self.validate()?;
-        Ok(materialize_v3(self.backing.bytes(), self.counts, &self.lay))
+        Ok(materialize_v3(
+            self.backing.bytes(),
+            self.counts,
+            &self.lay,
+            self.name_spans(),
+        ))
+    }
+
+    /// The interner's name spans; the interner must have passed its check.
+    fn name_spans(&self) -> &NameSpans {
+        self.name_spans
+            .get()
+            .expect("the interner's check keeps its spans")
     }
 }
 

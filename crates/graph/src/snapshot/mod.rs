@@ -18,6 +18,10 @@
 //!   validates checksums *lazily per section*, on first touch, so opening
 //!   a multi-gigabyte snapshot costs one header check.
 //!
+//! Eager validation ([`decode`], [`MappedSnapshot::validate`]) and
+//! [`encode`] hash the sections together on interleaved FNV-1a chains;
+//! every reader reports the same first error.
+//!
 //! Both readers accept version 3 only. Older files (version 1, and the
 //! pre-mmap version 2 layout) fail with [`SnapshotError::BadVersion`];
 //! the dataset cache regenerates them because [`VERSION`] is part of its
@@ -54,6 +58,11 @@ pub const MAGIC: &[u8; 8] = b"SCPMSNAP";
 /// `scpm ingest`) regenerate.
 pub const VERSION: u32 = 3;
 
+/// FNV-1a 64 offset basis (the hash of no bytes).
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a 64 prime.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
 /// Streaming FNV-1a 64-bit hasher — the snapshot checksum function in
 /// incremental form, used by the external (bounded-memory) ingest writer
 /// to checksum sections while spooling them to disk.
@@ -73,9 +82,7 @@ pub struct Fnv1a64 {
 impl Fnv1a64 {
     /// A fresh hasher (FNV offset basis).
     pub fn new() -> Self {
-        Fnv1a64 {
-            h: 0xcbf2_9ce4_8422_2325,
-        }
+        Fnv1a64 { h: FNV_OFFSET }
     }
 
     /// Feeds `bytes` into the hash.
@@ -84,7 +91,7 @@ impl Fnv1a64 {
         let mut h = self.h;
         for &b in bytes {
             h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            h = h.wrapping_mul(FNV_PRIME);
         }
         self.h = h;
     }
@@ -114,6 +121,72 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h = Fnv1a64::new();
     h.update(bytes);
     h.finish()
+}
+
+/// How many FNV-1a chains [`fnv1a64_lanes`] runs side by side. One chain
+/// waits a multiply per byte; four fill the multiplier. (Its byte loop
+/// zips exactly four lanes, so the count is fixed where it is written.)
+const LANES: usize = 4;
+
+/// FNV-1a 64 of each part, `fnv1a64(parts[i])` at index `i`, with the parts
+/// hashed together. A part is one serial chain, but parts are independent:
+/// they are dealt onto [`LANES`] lanes, longest first onto the least-loaded
+/// lane, and one loop advances every lane's chain a byte at a time. A lane
+/// with nothing left repeats another lane's bytes and drops the result, so
+/// the loop never narrows.
+pub(crate) fn fnv1a64_lanes(parts: &[&[u8]]) -> Vec<u64> {
+    let mut order: Vec<usize> = (0..parts.len()).filter(|&i| !parts[i].is_empty()).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(parts[i].len()));
+    let mut queues: [Vec<usize>; LANES] = Default::default();
+    let mut load = [0usize; LANES];
+    for i in order {
+        let lane = (0..LANES)
+            .min_by_key(|&l| load[l])
+            .expect("at least one lane");
+        queues[lane].push(i);
+        load[lane] += parts[i].len();
+    }
+
+    let mut sums = vec![FNV_OFFSET; parts.len()];
+    // Per lane: the part it hashes and that part's unhashed rest.
+    let mut current: [Option<(usize, &[u8])>; LANES] = [None; LANES];
+    let mut h = [FNV_OFFSET; LANES];
+    loop {
+        for l in 0..LANES {
+            if let Some((i, rest)) = current[l] {
+                if rest.is_empty() {
+                    sums[i] = h[l];
+                    current[l] = None;
+                }
+            }
+            if current[l].is_none() {
+                if let Some(i) = queues[l].pop() {
+                    current[l] = Some((i, parts[i]));
+                    h[l] = FNV_OFFSET;
+                }
+            }
+        }
+        // Every lane advances by the shortest rest; idle lanes repeat it.
+        let Some(shortest) = current
+            .iter()
+            .flatten()
+            .map(|&(_, rest)| rest)
+            .min_by_key(|rest| rest.len())
+        else {
+            return sums;
+        };
+        let step = shortest.len();
+        let [a, b, c, d]: [&[u8]; LANES] =
+            std::array::from_fn(|l| &current[l].map_or(shortest, |(_, rest)| rest)[..step]);
+        for (((&x0, &x1), &x2), &x3) in a.iter().zip(b).zip(c).zip(d) {
+            for (h, x) in h.iter_mut().zip([x0, x1, x2, x3]) {
+                *h = (*h ^ x as u64).wrapping_mul(FNV_PRIME);
+            }
+        }
+        for (_, rest) in current.iter_mut().flatten() {
+            *rest = &rest[step..];
+        }
+    }
 }
 
 /// Errors produced while decoding a snapshot.
@@ -244,7 +317,6 @@ pub fn encode(g: &AttributedGraph) -> Bytes {
     }
     debug_assert_eq!(buf.len(), HEADER_LEN + DIR_LEN);
 
-    let mut checksums = [0u64; layout::SECTION_COUNT];
     for s in SECTIONS {
         let e = lay.extents[s.index()];
         buf.resize(e.offset as usize, 0); // zero-fill alignment padding
@@ -303,12 +375,12 @@ pub fn encode(g: &AttributedGraph) -> Bytes {
             }
         }
         debug_assert_eq!(buf.len() as u64, e.offset + e.len, "{}", s.name());
-        checksums[s.index()] = fnv1a64(&buf[e.offset as usize..]);
     }
     debug_assert_eq!(buf.len() as u64, lay.total_len);
 
-    // Patch section checksums into the directory, then the header checksum
-    // over header + directory.
+    // Patch section checksums (hashed together) into the directory, then
+    // the header checksum over header + directory.
+    let checksums = fnv1a64_lanes(&SECTIONS.map(|s| lay.payload(&buf, s)));
     for s in SECTIONS {
         let at = DIR_OFFSET + s.index() * DIR_ENTRY_LEN + 24;
         buf[at..at + 8].copy_from_slice(&checksums[s.index()].to_le_bytes());
@@ -333,7 +405,10 @@ pub(crate) fn header_checksum(data: &[u8]) -> u64 {
 /// Runs the sectioned validation eagerly (magic and version, header
 /// checksum, per-section checksums, padding zero-fill, structural pass),
 /// outside-in, then materializes the graph without re-sorting anything.
-/// A forged checksum cannot make the decoder panic.
+/// The seven section checksums are hashed together in one pass; the
+/// sections are then checked in file order, so the first error is the one
+/// lazy per-section validation reports. A forged checksum cannot make the
+/// decoder panic.
 ///
 /// ```
 /// use scpm_graph::snapshot::{decode, encode};
@@ -348,10 +423,14 @@ pub(crate) fn header_checksum(data: &[u8]) -> u64 {
 pub fn decode(data: impl AsRef<[u8]>) -> Result<AttributedGraph, SnapshotError> {
     let data = data.as_ref();
     let (counts, lay, dir) = parse_v3_header(data)?;
+    let sums = fnv1a64_lanes(&SECTIONS.map(|s| lay.payload(data, s)));
+    let mut spans = Vec::new();
     for s in SECTIONS {
-        check_v3_section(data, counts, &lay, &dir, s)?;
+        if let Some(names) = check_v3_section(data, counts, &lay, &dir, s, Some(sums[s.index()]))? {
+            spans = names;
+        }
     }
-    Ok(materialize_v3(data, counts, &lay))
+    Ok(materialize_v3(data, counts, &lay, &spans))
 }
 
 /// Parses and verifies a v3 header + directory: magic, version, length,
@@ -480,20 +559,28 @@ pub(crate) fn parse_v3_header(
     Ok((counts, lay, dir))
 }
 
+/// The byte span of every attribute name within the interner section, in
+/// id order.
+pub(crate) type NameSpans = Vec<(usize, usize)>;
+
 /// Validates one v3 section: the zero-filled padding run preceding it, its
-/// FNV-1a checksum, and its structural invariants. Sections with
-/// structural dependencies ([`Section::CsrEdges`] on the CSR offsets,
-/// [`Section::VertexAttrs`] on the attribute offsets,
-/// [`Section::InvVertices`] on the other attribute sections) assume their
-/// dependencies were validated first — both readers validate along
-/// dependency edges before touching a section.
+/// FNV-1a checksum, and its structural invariants. `checksum` is the
+/// payload's FNV-1a when the caller already hashed it (together with other
+/// sections); `None` hashes it here. Sections with structural dependencies
+/// ([`Section::CsrEdges`] on the CSR offsets, [`Section::VertexAttrs`] on
+/// the attribute offsets, [`Section::InvVertices`] on the other attribute
+/// sections) assume their dependencies were validated first — both readers
+/// validate along dependency edges before touching a section. The interner
+/// hands back its [`NameSpans`], so no reader parses it twice; every other
+/// section returns `None`.
 pub(crate) fn check_v3_section(
     data: &[u8],
     counts: Counts,
     lay: &Layout,
     dir: &[DirEntry; layout::SECTION_COUNT],
     s: Section,
-) -> Result<(), SnapshotError> {
+    checksum: Option<u64>,
+) -> Result<Option<NameSpans>, SnapshotError> {
     let e = lay.extents[s.index()];
     for at in e.pad_start..e.offset {
         if data[at as usize] != 0 {
@@ -503,16 +590,13 @@ pub(crate) fn check_v3_section(
             });
         }
     }
-    let payload = &data[e.offset as usize..(e.offset + e.len) as usize];
-    let computed = fnv1a64(payload);
+    let payload = lay.payload(data, s);
+    let computed = checksum.unwrap_or_else(|| fnv1a64(payload));
     let stored = dir[s.index()].checksum;
     if stored != computed {
         return Err(SnapshotError::ChecksumMismatch { stored, computed });
     }
-    let section = |s: Section| {
-        let e = lay.extents[s.index()];
-        &data[e.offset as usize..(e.offset + e.len) as usize]
-    };
+    let section = |s: Section| lay.payload(data, s);
     match s {
         Section::CsrOffsets => {
             layout::check_offsets(payload, counts.n, counts.m * 2, "csr offset")?
@@ -560,21 +644,22 @@ pub(crate) fn check_v3_section(
                 counts.a,
             )?;
         }
-        Section::Interner => {
-            layout::check_interner(payload, counts.a)?;
-        }
+        Section::Interner => return layout::check_interner(payload, counts.a).map(Some),
     }
-    Ok(())
+    Ok(None)
 }
 
 /// Materializes an [`AttributedGraph`] from fully-validated v3 sections.
 /// No re-sorting, no re-deduplication: the sections already hold the
-/// canonical CSR arrays, so this is a straight copy.
-pub(crate) fn materialize_v3(data: &[u8], counts: Counts, lay: &Layout) -> AttributedGraph {
-    let section = |s: Section| {
-        let e = lay.extents[s.index()];
-        &data[e.offset as usize..(e.offset + e.len) as usize]
-    };
+/// canonical CSR arrays, so this is a straight copy. `spans` are the
+/// interner's [`NameSpans`] from its check.
+pub(crate) fn materialize_v3(
+    data: &[u8],
+    counts: Counts,
+    lay: &Layout,
+    spans: &[(usize, usize)],
+) -> AttributedGraph {
+    let section = |s: Section| lay.payload(data, s);
     let (n, a) = (counts.n as usize, counts.a as usize);
 
     let csr_off = section(Section::CsrOffsets);
@@ -608,8 +693,6 @@ pub(crate) fn materialize_v3(data: &[u8], counts: Counts, lay: &Layout) -> Attri
         })
         .collect();
 
-    let spans = layout::check_interner(section(Section::Interner), counts.a)
-        .expect("interner validated before materialization");
     let interner = section(Section::Interner);
     let attr_names: Vec<String> = spans
         .iter()
@@ -934,23 +1017,198 @@ mod tests {
         ));
     }
 
+    /// The CSR offsets and concatenated edge lists of an encoded snapshot.
+    fn csr(raw: &[u8]) -> (Vec<u64>, Vec<u32>) {
+        let (off, len) = extent(raw, Section::CsrOffsets);
+        let offsets = (0..len / 8)
+            .map(|i| layout::u64_at(raw, off + i * 8))
+            .collect();
+        let (off, len) = extent(raw, Section::CsrEdges);
+        let edges = (0..len / 4)
+            .map(|i| layout::u32_at(raw, off + i * 4))
+            .collect();
+        (offsets, edges)
+    }
+
+    /// `raw` with its CSR sections replaced (same lengths), resealed.
+    fn with_csr(raw: &[u8], offsets: &[u64], edges: &[u32]) -> Vec<u8> {
+        let mut raw = raw.to_vec();
+        let (off, _) = extent(&raw, Section::CsrOffsets);
+        for (i, x) in offsets.iter().enumerate() {
+            raw[off + i * 8..off + i * 8 + 8].copy_from_slice(&x.to_le_bytes());
+        }
+        let (off, _) = extent(&raw, Section::CsrEdges);
+        for (i, x) in edges.iter().enumerate() {
+            raw[off + i * 4..off + i * 4 + 4].copy_from_slice(&x.to_le_bytes());
+        }
+        reseal_v3(raw)
+    }
+
+    /// What the symmetry check must report, by a plain scan: the first
+    /// entry `(v, u)` in row order whose mirror `(u, v)` is absent, as
+    /// `OutOfRange { "asymmetric edge", u }`.
+    fn symmetry_oracle(offsets: &[u64], edges: &[u32]) -> Result<(), SnapshotError> {
+        let list = |v: usize| &edges[offsets[v] as usize..offsets[v + 1] as usize];
+        match (0..offsets.len() - 1)
+            .flat_map(|v| list(v).iter().map(move |&u| (v as u32, u)))
+            .find(|&(v, u)| !list(u as usize).contains(&v))
+        {
+            Some((_, u)) => Err(SnapshotError::OutOfRange {
+                reading: "asymmetric edge",
+                value: u as u64,
+            }),
+            None => Ok(()),
+        }
+    }
+
+    /// Rewrites entry `slot` of vertex `v`'s list to `w`, if `v`'s list
+    /// stays strictly sorted, free of `v` itself and of a second `w`, so
+    /// only the symmetry check can object.
+    fn rewrite_entry(
+        offsets: &[u64],
+        edges: &[u32],
+        v: usize,
+        slot: usize,
+        w: u32,
+    ) -> Option<Vec<u32>> {
+        let (start, end) = (offsets[v] as usize, offsets[v + 1] as usize);
+        let below = slot
+            .checked_sub(1)
+            .filter(|&i| i >= start)
+            .map(|i| edges[i]);
+        let above = (slot + 1 < end).then(|| edges[slot + 1]);
+        let fits = w as usize != v
+            && below.is_none_or(|b| b < w)
+            && above.is_none_or(|a| w < a)
+            && edges[slot] != w;
+        fits.then(|| {
+            let mut edges = edges.to_vec();
+            edges[slot] = w;
+            edges
+        })
+    }
+
+    /// Each kind of asymmetry, resealed, on `g`: one entry rewritten to a
+    /// non-neighbour (a mirror goes missing), a vertex's last entry moved
+    /// into its successor's list (a mirror moved to a neighbouring list),
+    /// and an existing mirror `v` copied into a second list (a duplicated
+    /// mirror).
+    fn asymmetric_corruptions(g: &AttributedGraph) -> Vec<(&'static str, Vec<u8>)> {
+        let raw = encode(g).to_vec();
+        let (offsets, edges) = csr(&raw);
+        let (offsets, edges) = (&offsets[..], &edges[..]);
+        let n = g.num_vertices();
+        let rows = |v: usize| offsets[v] as usize..offsets[v + 1] as usize;
+
+        let missing = (0..n)
+            .flat_map(|v| rows(v).map(move |slot| (v, slot)))
+            .find_map(|(v, slot)| {
+                (0..n as u32)
+                    .filter(|&w| !g.graph().has_edge(v as u32, w))
+                    .find_map(|w| rewrite_entry(offsets, edges, v, slot, w))
+            })
+            .expect("some entry can be rewritten to a non-neighbour");
+
+        let (v, x) = (0..n - 1)
+            .find_map(|v| {
+                let x = *edges[rows(v)].last()?;
+                (x as usize != v + 1 && !edges[rows(v + 1)].contains(&x)).then_some((v, x))
+            })
+            .expect("some list's last entry can move to the next list");
+        let next = rows(v + 1);
+        let mut merged = edges[next.clone()].to_vec();
+        merged.push(x);
+        merged.sort_unstable();
+        let (mut moved_offsets, mut moved_edges) = (offsets.to_vec(), edges.to_vec());
+        moved_offsets[v + 1] -= 1;
+        moved_edges[next.start - 1..next.end].copy_from_slice(&merged);
+
+        let duplicated = (0..n)
+            .flat_map(|u| rows(u).map(move |slot| (u, edges[slot])))
+            .find_map(|(u, v)| {
+                (0..n)
+                    .filter(|&u2| u2 != u && !g.graph().has_edge(v, u2 as u32))
+                    .flat_map(|u2| rows(u2).map(move |slot| (u2, slot)))
+                    .find_map(|(u2, slot)| rewrite_entry(offsets, edges, u2, slot, v))
+            })
+            .expect("some mirror can be copied into a second list");
+
+        vec![
+            ("missing mirror", with_csr(&raw, offsets, &missing)),
+            ("moved mirror", with_csr(&raw, &moved_offsets, &moved_edges)),
+            ("duplicated mirror", with_csr(&raw, offsets, &duplicated)),
+        ]
+    }
+
     #[test]
     fn structural_check_rejects_asymmetric_edges_behind_valid_checksums() {
-        // Redirect vertex 0's first neighbor to a valid-but-unmirrored
-        // endpoint: if ids stay in range and sortedness holds, only the
-        // symmetry check can catch it (any failing layer is acceptable).
-        let g = figure1();
-        let raw = encode(&g).to_vec();
-        let (off, _) = extent(&raw, Section::CsrEdges);
-        let first = layout::u32_at(&raw, off);
-        let n = g.num_vertices() as u32;
-        let replacement = (1..n)
-            .find(|&v| v != first && !g.graph().has_edge(0, v))
-            .expect("figure 1 is not complete");
-        let mut bad = raw.clone();
-        bad[off..off + 4].copy_from_slice(&replacement.to_le_bytes());
-        let bad = reseal_v3(bad);
-        assert!(decode(&bad).is_err());
+        // Ids stay in range and every list stays strictly sorted, so only
+        // the symmetry check can catch these, and it must name the first
+        // unmirrored entry's endpoint.
+        for g in [figure1(), generated()] {
+            for (what, bad) in asymmetric_corruptions(&g) {
+                let (offsets, edges) = csr(&bad);
+                let expected = symmetry_oracle(&offsets, &edges);
+                assert!(expected.is_err(), "{what} left the graph symmetric");
+                assert_eq!(verdict(&bad), expected, "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn symmetry_check_reports_what_a_plain_scan_reports() {
+        // Up to three entries rewritten at once: the cursor walk must name
+        // the same first unmirrored entry as a scan of each mirror list.
+        use rand::prelude::*;
+        let raw = encode(&generated()).to_vec();
+        let (offsets, edges) = csr(&raw);
+        let n = offsets.len() - 1;
+        let le = |xs: &[u32]| xs.iter().flat_map(|x| x.to_le_bytes()).collect::<Vec<u8>>();
+        let offset_bytes: Vec<u8> = offsets.iter().flat_map(|x| x.to_le_bytes()).collect();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let mut asymmetric = 0;
+        for _ in 0..500 {
+            let mut bad = edges.clone();
+            for _ in 0..rng.random_range(1..4) {
+                let v = rng.random_range(0..n);
+                if offsets[v] < offsets[v + 1] {
+                    let slot = rng.random_range(offsets[v] as usize..offsets[v + 1] as usize);
+                    let w = rng.random_range(0..n as u32);
+                    if let Some(rewritten) = rewrite_entry(&offsets, &bad, v, slot, w) {
+                        bad = rewritten;
+                    }
+                }
+            }
+            let expected = symmetry_oracle(&offsets, &bad);
+            asymmetric += expected.is_err() as usize;
+            let got = layout::check_edge_symmetry(&le(&bad), &offset_bytes, n as u64);
+            assert_eq!(got, expected);
+        }
+        assert!(asymmetric > 100, "only {asymmetric} corrupted cases");
+    }
+
+    #[test]
+    fn hub_adjacent_to_every_vertex_validates() {
+        // A hub of degree n − 1 at either end of the id range: its list
+        // is every other vertex's mirror, walked by one cursor.
+        for hub in [0u32, 99] {
+            let mut b = AttributedGraphBuilder::new(100);
+            for v in (0..100).filter(|&v| v != hub) {
+                b.add_edge(hub, v);
+            }
+            for v in 1..50 {
+                b.add_edge(v, v + 50);
+            }
+            b.add_attr_named(hub, "hub");
+            let g = b.build();
+            assert_eq!(g.graph().degree(hub), 99);
+            let raw = encode(&g).to_vec();
+            assert_eq!(verdict(&raw), Ok(()));
+            assert_eq!(
+                decode(&raw).unwrap().graph().neighbors(hub),
+                g.graph().neighbors(hub)
+            );
+        }
     }
 
     #[test]
@@ -979,6 +1237,183 @@ mod tests {
             bad[off..off + 4].copy_from_slice(&w.to_le_bytes());
             let bad = reseal_v3(bad);
             assert!(decode(&bad).is_err());
+        }
+    }
+
+    /// A seeded 300-vertex graph with 40 attributes: every section spans
+    /// many cache lines and lanes.
+    fn generated() -> AttributedGraph {
+        use rand::prelude::*;
+        let csr = crate::generators::barabasi_albert(300, 3, 11);
+        let mut b = AttributedGraphBuilder::new(300);
+        for (u, v) in csr.edges() {
+            b.add_edge(u, v);
+        }
+        for x in 0..40 {
+            b.intern_attr(&format!("attr-{x:02}"));
+        }
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        for v in 0..300u32 {
+            for _ in 0..rng.random_range(0..4) {
+                b.add_attr(v, rng.random_range(0..40));
+            }
+        }
+        b.build()
+    }
+
+    /// The verdict every reader gives on `raw`, asserted equal: `decode`,
+    /// `MappedSnapshot::validate`, lazy `ensure` in [`SECTIONS`] order, and
+    /// a reader that touches the inverted index lazily before validating
+    /// (so `validate` hashes only the sections left).
+    fn verdict(raw: &[u8]) -> Result<(), SnapshotError> {
+        let decoded = decode(raw).map(|_| ());
+        let validated = MappedSnapshot::from_bytes(raw).and_then(|s| s.validate());
+        let lazy = MappedSnapshot::from_bytes(raw)
+            .and_then(|s| SECTIONS.iter().try_for_each(|&x| s.ensure(x)));
+        let mixed = MappedSnapshot::from_bytes(raw).and_then(|s| {
+            let _ = s.ensure(Section::InvVertices);
+            s.validate()
+        });
+        assert_eq!(validated, decoded, "validate() and decode disagree");
+        assert_eq!(lazy, decoded, "lazy ensure and decode disagree");
+        assert_eq!(mixed, decoded, "ensure-then-validate and decode disagree");
+        decoded
+    }
+
+    /// Structural corruptions behind resealed checksums, each with the
+    /// error it must produce.
+    fn structural_corruptions(g: &AttributedGraph) -> Vec<(&'static str, Vec<u8>, SnapshotError)> {
+        let raw = encode(g).to_vec();
+        let (offsets, edges) = csr(&raw);
+        let mut out = Vec::new();
+
+        let mut bad = edges.clone();
+        bad[0] = u32::MAX;
+        let err = SnapshotError::OutOfRange {
+            reading: "edge endpoint",
+            value: u32::MAX as u64,
+        };
+        out.push(("endpoint out of range", with_csr(&raw, &offsets, &bad), err));
+
+        let v = (0..g.num_vertices())
+            .find(|&v| g.graph().degree(v as u32) > 0)
+            .unwrap();
+        let mut bad = edges.clone();
+        bad[offsets[v] as usize] = v as u32;
+        let err = SnapshotError::OutOfRange {
+            reading: "edge endpoint",
+            value: v as u64,
+        };
+        out.push(("self-loop", with_csr(&raw, &offsets, &bad), err));
+
+        let mut bad = offsets.clone();
+        bad[1] = bad[2] + 1;
+        let err = SnapshotError::OutOfRange {
+            reading: "csr offset",
+            value: bad[2],
+        };
+        out.push(("offsets not monotone", with_csr(&raw, &bad, &edges), err));
+
+        for (what, bad) in asymmetric_corruptions(g) {
+            let (o, e) = csr(&bad);
+            let err = symmetry_oracle(&o, &e).unwrap_err();
+            out.push((what, bad, err));
+        }
+
+        let (off, _) = extent(&raw, Section::Interner);
+        let mut bad = raw.clone();
+        bad[off + 4] = 0xFF;
+        out.push(("name not UTF-8", reseal_v3(bad), SnapshotError::BadName));
+
+        // Names 0 and 1 made equal (both graphs' names share a length).
+        let len = layout::u32_at(&raw, off) as usize;
+        assert_eq!(layout::u32_at(&raw, off + 4 + len) as usize, len);
+        let mut bad = raw.clone();
+        bad.copy_within(off + 4..off + 4 + len, off + 8 + len);
+        let err = SnapshotError::OutOfRange {
+            reading: "duplicate attribute name",
+            value: 1,
+        };
+        out.push(("duplicate name", reseal_v3(bad), err));
+
+        // One inverted entry names a vertex without the attribute; the list
+        // stays sorted, so the transpose check fires at that attribute.
+        let (off, _) = extent(&raw, Section::InvVertices);
+        let (x, slot, w) = (0..g.num_attributes() as u32)
+            .find_map(|x| {
+                let list = g.vertices_with(x);
+                let start: usize = (0..x).map(|y| g.support(y)).sum();
+                (0..list.len()).find_map(|k| {
+                    let below = k.checked_sub(1).map(|i| list[i]);
+                    let above = list.get(k + 1).copied();
+                    (0..g.num_vertices() as u32)
+                        .find(|&w| {
+                            !list.contains(&w)
+                                && below.is_none_or(|b| b < w)
+                                && above.is_none_or(|a| w < a)
+                        })
+                        .map(|w| (x, start + k, w))
+                })
+            })
+            .expect("some inverted entry can name a vertex without the attribute");
+        let mut bad = raw.clone();
+        bad[off + slot * 4..off + slot * 4 + 4].copy_from_slice(&w.to_le_bytes());
+        let (bad, err) = (
+            reseal_v3(bad),
+            SnapshotError::OutOfRange {
+                reading: "inverted index entry",
+                value: x as u64,
+            },
+        );
+        out.push(("inverted index not the transpose", bad, err));
+        out
+    }
+
+    #[test]
+    fn every_corruption_gives_the_same_error_from_every_reader() {
+        // Lanes hash the sections together in validate() and decode, lazy
+        // ensure hashes one at a time: the first error, checksum values
+        // included, must not depend on which reader met it.
+        for g in [figure1(), generated()] {
+            let raw = encode(&g).to_vec();
+            assert_eq!(verdict(&raw), Ok(()));
+            for off in 0..raw.len() {
+                for flip in [0x01u8, 0x80] {
+                    let mut bad = raw.clone();
+                    bad[off] ^= flip;
+                    assert!(
+                        verdict(&bad).is_err(),
+                        "flip {flip:#x} at {off} was accepted"
+                    );
+                }
+            }
+            for (what, bad, err) in structural_corruptions(&g) {
+                assert_eq!(verdict(&bad), Err(err), "{what}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn lanes_hash_equals_fnv1a64_per_part(
+            parts in proptest::collection::vec(
+                proptest::collection::vec(proptest::prelude::any::<u8>(), 0..301),
+                0..10,
+            ),
+        ) {
+            // As drawn, cut to equal lengths, and with an empty part.
+            let shortest = parts.iter().map(Vec::len).min().unwrap_or(0);
+            let equal: Vec<Vec<u8>> = parts.iter().map(|p| p[..shortest].to_vec()).collect();
+            let mut with_empty = parts.clone();
+            with_empty.insert(parts.len() / 2, Vec::new());
+            for case in [&parts, &equal, &with_empty] {
+                let slices: Vec<&[u8]> = case.iter().map(Vec::as_slice).collect();
+                let sums = fnv1a64_lanes(&slices);
+                proptest::prop_assert_eq!(sums.len(), case.len());
+                for (part, sum) in case.iter().zip(&sums) {
+                    proptest::prop_assert_eq!(*sum, fnv1a64(part));
+                }
+            }
         }
     }
 
